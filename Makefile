@@ -9,8 +9,11 @@ all: check
 # The full local gate: what CI runs, minus the race pass.
 check: vet lint test
 
+# svcbench is a separate module that drives pathsvc's public API; root
+# ./... never compiles it, so it is vetted and tested on its own.
 test:
 	$(GO) test ./...
+	cd svcbench && $(GO) vet ./... && $(GO) test -short ./...
 
 vet:
 	$(GO) vet ./...

@@ -69,8 +69,8 @@ func startTracedCluster(t *testing.T, n, m int) (*testCluster, []*obs.RequestTra
 }
 
 // ridTraces returns every recorded tree carrying the rid, polling briefly:
-// the owner finishes its trace before answering, but the requester's
-// response can beat the recorder's mirror hand-off by a scheduler tick.
+// each peer records its tree just after writing its reply, so the
+// requester's response can beat the recorder by a scheduler tick.
 func ridTraces(t *testing.T, tr *obs.RequestTracer, rid string, want int) []*obs.RequestTrace {
 	t.Helper()
 	deadline := time.Now().Add(2 * time.Second)

@@ -1,8 +1,10 @@
 package pathsvc
 
 import (
+	"strconv"
 	"time"
 
+	"repro/internal/hhc"
 	"repro/internal/obs"
 )
 
@@ -221,6 +223,20 @@ func (t *reqTrace) setAttr(key, value string) {
 	}
 }
 
+// setAttrInt and setAttrNode format their value only when a tracer is
+// recording: the untraced serve path must not pay for the rendering.
+func (t *reqTrace) setAttrInt(key string, v int) {
+	if t != nil {
+		t.q.SetAttr(key, strconv.Itoa(v))
+	}
+}
+
+func (t *reqTrace) setAttrNode(key string, u hhc.Node) {
+	if t != nil {
+		t.q.SetAttr(key, hhc.FormatNodeWire(u))
+	}
+}
+
 func (t *reqTrace) endAdmission() {
 	if t != nil && t.admit != nil {
 		t.admit.End()
@@ -321,8 +337,9 @@ func (t *reqTrace) endEncode() {
 }
 
 // finish closes any phase span still open (shed and refused requests never
-// reach later phases) and hands the tree to the flight recorder.
-func (t *reqTrace) finish(code string) {
+// reach later phases) and hands the tree, tagged with the v1 spelling of
+// its status, to the flight recorder.
+func (t *reqTrace) finish(code uint8) {
 	if t == nil {
 		return
 	}
@@ -331,7 +348,7 @@ func (t *reqTrace) finish(code string) {
 	t.endQueue()
 	t.endExec()
 	t.endEncode()
-	t.q.Finish(code)
+	t.q.Finish(codeOfStatus(code))
 }
 
 // logConnOpen / logConnClose emit one structured line per connection
@@ -349,13 +366,14 @@ func (s *Server) logConnClose(remote string) {
 	}
 }
 
-// logResponse emits one structured line per non-OK response.
-func (s *Server) logResponse(remote, op, rid, code, msg string) {
+// logResponse emits one structured line per non-OK response, with the
+// status in its v1 spelling.
+func (s *Server) logResponse(remote, op, rid string, code uint8, msg string) {
 	if !s.cfg.Logger.Enabled(obs.LevelWarn) {
 		return
 	}
 	s.cfg.Logger.Warn("request failed",
 		obs.String("remote", remote), obs.String("op", op),
-		obs.String("rid", rid), obs.String("code", code),
+		obs.String("rid", rid), obs.String("code", codeOfStatus(code)),
 		obs.String("err", msg))
 }

@@ -3,7 +3,6 @@ package pathsvc
 import (
 	"bufio"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -203,15 +202,16 @@ type coalesceKey struct {
 }
 
 // pendingReq is everything needed to answer one requester: leader and
-// coalesced waiters carry the same shape. proto records which wire version
-// the request arrived in, so coalesced v1 and v2 requesters of the same
-// construction each get an answer in their own encoding.
+// coalesced waiters carry the same shape. v1 is the decoded JSON request
+// of a requester that spoke wire v1 (nil for v2): send renders the answer
+// through the v1 codec from it, so coalesced v1 and v2 requesters of the
+// same construction each get an answer in their own encoding.
 type pendingReq struct {
 	pc       *serverConn
-	proto    uint8 // ProtocolVersion or ProtocolV2
+	v1       *Request
 	id       uint64
 	rid      string // request id echoed in the response ("" = untraced, none supplied)
-	op       string
+	op       uint8  // v2 op code
 	maxPaths int
 	degraded bool
 	// coalesced marks a waiter answered by piggybacking on the leader's
@@ -222,7 +222,7 @@ type pendingReq struct {
 	// deadline is the absolute per-request deadline (arrival + the request
 	// or default timeout). A plain time.Time instead of a context: the serve
 	// path only ever polls expiry, and skipping context.WithTimeout saves a
-	// context, a timer, and a cancel func per request on both protocols.
+	// context, a timer, and a cancel func per request.
 	deadline time.Time
 	start    time.Time
 }
@@ -231,13 +231,14 @@ type pendingReq struct {
 type task struct {
 	pendingReq
 	u, v  hhc.Node
-	pairs [][2]string
-	// nodePairs is the node-native batch form of v2 requests (pairs stays
-	// the textual v1 form; exactly one of the two is set).
-	nodePairs []NodePair
-	faults    map[hhc.Node]bool
-	enqueued  time.Time
-	lead      bool // owns an entry in Server.inflight
+	pairs []NodePair
+	// pairErrs holds the per-pair address errors of a v1 batch, indexed
+	// like pairs (nil when every pair parsed): such a pair is answered as a
+	// per-item error, not a request failure.
+	pairErrs []error
+	faults   map[hhc.Node]bool
+	enqueued time.Time
+	lead     bool // owns an entry in Server.inflight
 	// forwarded mirrors the wire's hop-guard bit: the query already crossed
 	// a peer hop, so this server must answer it locally whatever the ring says.
 	forwarded bool
@@ -251,15 +252,12 @@ type flight struct {
 
 // outcome is a worker's answer, shared by the leader and all waiters.
 type outcome struct {
-	code    string
+	code    uint8 // v2 status byte
 	errMsg  string
 	paths   [][]hhc.Node
-	results []BatchItem
-	// resultsV2 is the node-native batch answer of a v2 batch task (batches
-	// are never coalesced, so exactly one of results/resultsV2 is set).
-	resultsV2 []BatchItemV2
-	retryMS   int64
-	execNS    int64 // construction time, shared by every coalesced recipient
+	results []BatchItemV2
+	retryNS int64
+	execNS  int64 // construction time, shared by every coalesced recipient
 }
 
 // serverConn serializes concurrent response writes onto one connection.
@@ -274,38 +272,18 @@ type serverConn struct {
 	pending sync.WaitGroup
 }
 
-func (pc *serverConn) send(resp *Response) {
-	pc.wmu.Lock()
-	defer pc.wmu.Unlock()
-	err := WriteFrame(pc.c, resp, pc.maxSend)
-	if err == nil || !errors.Is(err, ErrFrameTooLarge) {
-		// An I/O error means the peer vanished; the reader will observe the
-		// broken connection and clean up, so there is nobody left to notify.
-		return
-	}
-	// The encoded response outgrew the frame limit. The peer is alive and
-	// blocked on its answer, so silence would hang it forever: substitute a
-	// small typed error, and if even that cannot be framed, close the
-	// connection so the client at least sees EOF.
-	small := &Response{Ver: ProtocolVersion, ID: resp.ID, Op: resp.Op,
-		Code: CodeInternal, Err: err.Error()}
-	if WriteFrame(pc.c, small, pc.maxSend) != nil {
-		_ = pc.c.Close()
-	}
-}
-
-// sendV2 encodes and writes one binary response as a single frame from a
-// pooled buffer: no intermediate payload slice, no per-field marshalling
-// state, and exactly one conn.Write, so the steady-state send path
-// allocates nothing.
+// send encodes one response in the recipient's encoding (v1 non-nil: the
+// request arrived as v1 JSON) and writes it as a single frame from a
+// pooled buffer: no intermediate payload slice and exactly one conn.Write,
+// so the steady-state v2 send path allocates nothing.
 //
 //hhc:hotpath
-func (pc *serverConn) sendV2(resp *ResponseV2) {
+func (pc *serverConn) send(v1 *Request, resp *ResponseV2) {
 	bufp := frameBufPool.Get().(*[]byte)
 	buf := appendFramePrefix(*bufp)
-	buf = AppendResponseV2(buf, resp)
+	buf = appendResponse(buf, v1, resp)
 	if patchFramePrefix(buf) > pc.maxSend {
-		buf = pc.oversizeV2(buf, resp)
+		buf = pc.oversize(buf, v1, resp)
 	}
 	if buf != nil {
 		pc.wmu.Lock()
@@ -318,15 +296,15 @@ func (pc *serverConn) sendV2(resp *ResponseV2) {
 	frameBufPool.Put(bufp)
 }
 
-// oversizeV2 replaces a v2 response that outgrew the frame limit with a
-// small typed error — the peer is alive and blocked on its answer, so
-// silence would hang it forever. If even the substitute cannot be framed,
-// the connection is closed so the client at least sees EOF.
-func (pc *serverConn) oversizeV2(buf []byte, resp *ResponseV2) []byte {
+// oversize replaces a response that outgrew the frame limit with a small
+// typed error — the peer is alive and blocked on its answer, so silence
+// would hang it forever. If even the substitute cannot be framed, the
+// connection is closed so the client at least sees EOF.
+func (pc *serverConn) oversize(buf []byte, v1 *Request, resp *ResponseV2) []byte {
 	small := ResponseV2{ID: resp.ID, RID: resp.RID, Op: resp.Op, Code: StatusInternal,
 		Err: fmt.Sprintf("%s: response exceeds %d bytes", ErrFrameTooLarge.Error(), pc.maxSend)}
 	buf = appendFramePrefix(buf)
-	buf = AppendResponseV2(buf, &small)
+	buf = appendResponse(buf, v1, &small)
 	if patchFramePrefix(buf) > pc.maxSend {
 		_ = pc.c.Close()
 		return nil
@@ -334,8 +312,9 @@ func (pc *serverConn) oversizeV2(buf []byte, resp *ResponseV2) []byte {
 	return buf
 }
 
-// Server serves disjoint-path queries over length-prefixed JSON frames.
-// Create with New, run with Serve, stop with Shutdown.
+// Server serves disjoint-path queries over length-prefixed frames in
+// either wire encoding, v1 JSON or v2 binary, detected per frame. Create
+// with New, run with Serve, stop with Shutdown.
 type Server struct {
 	cfg      Config
 	g        *hhc.Graph
@@ -605,11 +584,11 @@ func (s *Server) handleConn(conn net.Conn) {
 		s.connWG.Done()
 	}()
 	br := bufio.NewReader(conn)
-	// One read buffer and one v2 decode scratch per connection: every frame
-	// lands in rbuf (grown once, then reused) and binary requests decode
-	// into sreq, whose slices dispatchV2 copies out of before returning.
+	// One read buffer and one decode scratch per connection: every frame
+	// lands in rbuf (grown once, then reused) and decodes into in, whose
+	// slices dispatch copies out of before returning.
 	var rbuf []byte
-	var sreq RequestV2
+	var in inbound
 	for {
 		payload, err := ReadFrameInto(br, rbuf, s.cfg.MaxFrame)
 		if err != nil {
@@ -618,64 +597,43 @@ func (s *Server) handleConn(conn net.Conn) {
 			return
 		}
 		rbuf = payload
+		derr := s.decodeFrame(payload, &in)
 		if s.closing() {
 			// The frame raced the drain decision; refuse it explicitly, in
 			// the encoding it arrived in (best effort — the id is only known
 			// if the payload decodes).
-			if payload[0] == frameMagicV2 {
-				if DecodeRequestV2(payload, &sreq) == nil {
-					s.counters.Requests.Inc()
-					op, _ := opNameOf(sreq.Op)
-					s.logResponse(pc.remote, op, sreq.RID, CodeShutdown, ErrShutdown.Error())
-					pc.sendV2(&ResponseV2{ID: sreq.ID, RID: sreq.RID, Op: sreq.Op,
-						Code: StatusShutdown, Err: ErrShutdown.Error()})
-				}
-			} else if req, derr := DecodeRequest(payload); derr == nil {
+			if derr == nil {
 				s.counters.Requests.Inc()
-				s.logResponse(pc.remote, req.Op, req.RID, CodeShutdown, ErrShutdown.Error())
-				pc.send(&Response{Ver: ProtocolVersion, ID: req.ID, RID: req.RID,
-					Op: req.Op, Code: CodeShutdown, Err: ErrShutdown.Error()})
+				s.fail(pc, &in, in.req.RID, nil, StatusShutdown, ErrShutdown)
 			}
 			return
 		}
-		if payload[0] == frameMagicV2 {
-			if derr := DecodeRequestV2(payload, &sreq); derr != nil {
-				// A structurally broken binary frame is still answerable —
-				// the outer framing holds, and when at least the header
-				// arrived the refusal can carry the request's id.
-				s.counters.Requests.Inc()
-				s.counters.Failed.Inc()
-				op, _ := opNameOf(sreq.Op)
-				s.logResponse(pc.remote, op, sreq.RID, CodeBadRequest, derr.Error())
-				pc.sendV2(&ResponseV2{ID: sreq.ID, Op: sreq.Op,
-					Code: StatusBadRequest, Err: derr.Error()})
-				continue
-			}
-			s.dispatchV2(pc, &sreq)
-			continue
-		}
-		req, err := DecodeRequest(payload)
-		if err != nil {
-			// JSON-level garbage is answerable (framing still holds).
+		if derr != nil {
+			// A structurally broken frame is still answerable — the outer
+			// framing holds, and when at least the header decoded the
+			// refusal carries the request's id.
 			s.counters.Requests.Inc()
-			s.counters.Failed.Inc()
-			s.logResponse(pc.remote, req.Op, req.RID, CodeBadRequest, err.Error())
-			pc.send(&Response{Ver: ProtocolVersion, ID: req.ID, RID: req.RID,
-				Op: req.Op, Code: CodeBadRequest, Err: err.Error()})
+			s.fail(pc, &in, in.req.RID, nil, StatusBadRequest, derr)
 			continue
 		}
-		s.dispatch(pc, req)
+		s.dispatch(pc, &in)
 	}
 }
 
-// dispatch validates a request, answers trivial ops inline, coalesces
-// duplicate path queries, and runs admission control for the rest. It runs
-// on the connection's reader goroutine, so AdmitBlock backpressure parks
-// exactly the connection that is overloading the queue.
-func (s *Server) dispatch(pc *serverConn, req Request) {
+// dispatch validates a decoded request, answers trivial ops inline, and
+// hands the rest to the shared admission path. It runs on the connection's
+// reader goroutine, so AdmitBlock backpressure parks exactly the connection
+// that is overloading the queue. in aliases the connection's decode
+// scratch, so everything the task retains past return (faults, batch
+// pairs) is copied out here; scalar endpoints and the already-copied RID
+// string ride along for free.
+//
+//hhc:hotpath
+func (s *Server) dispatch(pc *serverConn, in *inbound) {
 	s.counters.Requests.Inc()
 	start := time.Now()
-	tr := s.beginTrace(req.Op, req.RID, pc.remote, req.Origin)
+	req := &in.req
+	tr := s.beginTrace(in.op, req.RID, pc.remote, req.Origin)
 	// The echoed request id: the trace id when tracing is on (it adopts a
 	// client-supplied RID), else a pass-through of whatever the client sent.
 	rid := req.RID
@@ -684,174 +642,92 @@ func (s *Server) dispatch(pc *serverConn, req Request) {
 	}
 
 	switch req.Op {
-	case OpPing:
+	case OpCodePing, OpCodeInfo:
+		resp := ResponseV2{ID: req.ID, RID: rid, Op: req.Op}
+		if req.Op == OpCodeInfo {
+			resp.M, resp.Full, resp.Width = s.g.M(), s.g.M()+1, s.g.M()+1
+		}
 		s.counters.Completed.Inc()
-		pc.send(&Response{Ver: ProtocolVersion, ID: req.ID, RID: rid, Op: req.Op})
-		tr.finish(CodeOK)
+		pc.send(in.v1, &resp)
+		tr.finish(StatusOK)
 		s.met.observeRequest(time.Since(start), rid)
 		return
-	case OpInfo:
-		s.counters.Completed.Inc()
-		pc.send(&Response{Ver: ProtocolVersion, ID: req.ID, RID: rid, Op: req.Op,
-			M: s.g.M(), Full: s.g.M() + 1, Width: s.g.M() + 1,
-			VerMax: MaxProtocolVersion})
-		tr.finish(CodeOK)
-		s.met.observeRequest(time.Since(start), rid)
-		return
-	case OpPaths, OpBatch, OpRoute:
-	default:
-		s.fail(pc, req, rid, tr, fmt.Sprintf("unknown op %q", req.Op))
-		return
 	}
-
-	t := &task{
-		pendingReq: pendingReq{
-			pc: pc, proto: ProtocolVersion, id: req.ID, rid: rid, op: req.Op,
-			maxPaths: req.MaxPaths, tr: tr, start: start,
-		},
-		forwarded: req.Fwd,
-	}
-	var err error
-	switch req.Op {
-	case OpPaths, OpRoute:
-		if t.u, err = s.g.ParseNode(req.U); err == nil {
-			t.v, err = s.g.ParseNode(req.V)
-		}
-		if err == nil && req.Op == OpRoute {
-			t.faults = make(map[hhc.Node]bool, len(req.Faults))
-			for _, f := range req.Faults {
-				var fn hhc.Node
-				if fn, err = s.g.ParseNode(f); err != nil {
-					break
-				}
-				t.faults[fn] = true
-			}
-		}
-	case OpBatch:
-		if len(req.Pairs) == 0 {
-			err = errors.New("pathsvc: batch with no pairs")
-		} else if len(req.Pairs) > s.cfg.MaxBatch {
-			err = fmt.Errorf("pathsvc: batch of %d pairs exceeds the %d-pair limit", len(req.Pairs), s.cfg.MaxBatch)
-		}
-		t.pairs = req.Pairs
+	err := in.bad
+	if err == nil {
+		err = s.validate(req)
 	}
 	if err != nil {
-		s.fail(pc, req, rid, tr, err.Error())
-		return
-	}
-	switch req.Op {
-	case OpPaths, OpRoute:
-		tr.setAttr("u", req.U)
-		tr.setAttr("v", req.V)
-	case OpBatch:
-		tr.setAttr("pairs", fmt.Sprint(len(t.pairs)))
-	}
-
-	timeout := s.cfg.DefaultTimeout
-	if req.TimeoutMS > 0 {
-		timeout = time.Duration(req.TimeoutMS) * time.Millisecond
-	}
-	t.deadline = start.Add(timeout)
-	s.admit(t)
-}
-
-// dispatchV2 validates a binary-frame request, answers trivial ops inline,
-// and hands the rest to the shared admission path. req aliases the
-// connection's per-frame decode scratch, so everything the task retains
-// past return (faults, batch pairs) is copied out here; scalar endpoints
-// and the already-copied RID string ride along for free.
-func (s *Server) dispatchV2(pc *serverConn, req *RequestV2) {
-	s.counters.Requests.Inc()
-	start := time.Now()
-	op, _ := opNameOf(req.Op)
-	tr := s.beginTrace(op, req.RID, pc.remote, req.Origin)
-	rid := req.RID
-	if id := tr.id(); id != "" {
-		rid = id
-	}
-
-	switch req.Op {
-	case OpCodePing:
-		s.counters.Completed.Inc()
-		pc.sendV2(&ResponseV2{ID: req.ID, RID: rid, Op: req.Op})
-		tr.finish(CodeOK)
-		s.met.observeRequest(time.Since(start), rid)
-		return
-	case OpCodeInfo:
-		s.counters.Completed.Inc()
-		pc.sendV2(&ResponseV2{ID: req.ID, RID: rid, Op: req.Op,
-			M: s.g.M(), Full: s.g.M() + 1, Width: s.g.M() + 1})
-		tr.finish(CodeOK)
-		s.met.observeRequest(time.Since(start), rid)
+		s.fail(pc, in, rid, tr, StatusBadRequest, err)
 		return
 	}
 
 	t := &task{
 		pendingReq: pendingReq{
-			pc: pc, proto: ProtocolV2, id: req.ID, rid: rid, op: op,
+			pc: pc, v1: in.v1, id: req.ID, rid: rid, op: req.Op,
 			maxPaths: req.MaxPaths, tr: tr, start: start,
 		},
+		pairErrs:  in.pairErrs,
 		forwarded: req.Forwarded,
 	}
-	var err error
 	switch req.Op {
 	case OpCodePaths, OpCodeRoute:
 		t.u, t.v = req.U, req.V
-		// Binary addresses skip ParseNode, so the topology bound is
-		// checked here instead.
-		if !s.g.Contains(t.u) {
-			err = s.nodeRangeErr(t.u)
-		} else if !s.g.Contains(t.v) {
-			err = s.nodeRangeErr(t.v)
-		}
-		if err == nil && req.Op == OpCodeRoute {
+		tr.setAttrNode("u", t.u)
+		tr.setAttrNode("v", t.v)
+		if req.Op == OpCodeRoute {
 			t.faults = make(map[hhc.Node]bool, len(req.Faults))
 			for _, f := range req.Faults {
-				if !s.g.Contains(f) {
-					err = s.nodeRangeErr(f)
-					break
-				}
 				t.faults[f] = true
 			}
 		}
 	case OpCodeBatch:
-		if len(req.Pairs) == 0 {
-			err = errors.New("pathsvc: batch with no pairs")
-		} else if len(req.Pairs) > s.cfg.MaxBatch {
-			err = fmt.Errorf("pathsvc: batch of %d pairs exceeds the %d-pair limit", len(req.Pairs), s.cfg.MaxBatch)
-		} else {
-			t.nodePairs = append(t.nodePairs, req.Pairs...)
-		}
-	}
-	if err != nil {
-		s.failV2(pc, req.ID, req.Op, rid, tr, err.Error())
-		return
-	}
-	if tr != nil {
-		// Attribute formatting only when a tracer is recording: rendering
-		// node addresses costs allocations the hot path must not pay.
-		switch req.Op {
-		case OpCodePaths, OpCodeRoute:
-			tr.setAttr("u", hhc.FormatNodeWire(t.u))
-			tr.setAttr("v", hhc.FormatNodeWire(t.v))
-		case OpCodeBatch:
-			tr.setAttr("pairs", fmt.Sprint(len(t.nodePairs)))
-		}
+		t.pairs = append(t.pairs, req.Pairs...)
+		tr.setAttrInt("pairs", len(t.pairs))
 	}
 
 	timeout := s.cfg.DefaultTimeout
 	if req.TimeoutNS > 0 {
-		// v2 carries the timeout at nanosecond resolution; no millisecond
-		// rounding on this protocol.
 		timeout = time.Duration(req.TimeoutNS)
 	}
 	t.deadline = start.Add(timeout)
 	s.admit(t)
 }
 
-// nodeRangeErr renders the v2 analogue of hhc's out-of-range parse error
-// for addresses that arrived in binary form.
-func (s *Server) nodeRangeErr(u hhc.Node) error {
+// validate checks a decoded query against the served topology and the
+// batch limits. Binary addresses skip ParseNode, so their range is checked
+// here (v1 addresses already passed it at decode).
+func (s *Server) validate(req *RequestV2) error {
+	switch req.Op {
+	case OpCodePaths, OpCodeRoute:
+		if err := s.checkNode(req.U); err != nil {
+			return err
+		}
+		if err := s.checkNode(req.V); err != nil {
+			return err
+		}
+		for _, f := range req.Faults {
+			if err := s.checkNode(f); err != nil {
+				return err
+			}
+		}
+	case OpCodeBatch:
+		if len(req.Pairs) == 0 {
+			return errors.New("pathsvc: batch with no pairs")
+		}
+		if len(req.Pairs) > s.cfg.MaxBatch {
+			return fmt.Errorf("pathsvc: batch of %d pairs exceeds the %d-pair limit", len(req.Pairs), s.cfg.MaxBatch)
+		}
+	}
+	return nil
+}
+
+// checkNode renders the binary-address analogue of hhc's out-of-range
+// parse error for a node outside the served topology.
+func (s *Server) checkNode(u hhc.Node) error {
+	if s.g.Contains(u) {
+		return nil
+	}
 	return fmt.Errorf("pathsvc: node %s out of range for m=%d", s.g.FormatNode(u), s.g.M())
 }
 
@@ -862,7 +738,7 @@ func (s *Server) nodeRangeErr(u hhc.Node) error {
 // views can never bounce a query forever); everything else runs the local
 // admission path.
 func (s *Server) admit(t *task) {
-	if s.cfg.Router != nil && (t.op == OpPaths || t.op == OpRoute) {
+	if s.cfg.Router != nil && (t.op == OpCodePaths || t.op == OpCodeRoute) {
 		if t.forwarded {
 			s.counters.ForwardedIn.Inc()
 		} else if !s.cfg.Router.Owns(t.u, t.v) {
@@ -883,7 +759,7 @@ func (s *Server) admitLocal(t *task) {
 	// the shed threshold marks new path queries for width truncation.
 	t.degraded = len(s.queue) >= s.shedHigh
 
-	if t.op == OpPaths {
+	if t.op == OpCodePaths {
 		key := coalesceKey{u: t.u, v: t.v}
 		s.inflightMu.Lock()
 		if fl, ok := s.inflight[key]; ok {
@@ -917,16 +793,16 @@ func (s *Server) admitLocal(t *task) {
 			s.counters.Admitted.Inc()
 			return
 		case <-s.quit:
-			s.deliverAll(t, outcome{code: CodeShutdown, errMsg: ErrShutdown.Error()})
+			s.deliverAll(t, outcome{code: StatusShutdown, errMsg: ErrShutdown.Error()})
 			return
 		}
 	}
 	// AdmitReject: shed now, with a back-off hint.
 	s.counters.Shed.Inc()
 	s.deliverAll(t, outcome{
-		code:    CodeOverload,
+		code:    StatusOverload,
 		errMsg:  ErrOverload.Error(),
-		retryMS: s.cfg.RetryAfter.Milliseconds(),
+		retryNS: int64(s.cfg.RetryAfter.Truncate(time.Millisecond)),
 	})
 }
 
@@ -965,7 +841,6 @@ func (s *Server) forward(t *task) {
 // downgrade to a local answer; any other owner verdict is this query's
 // answer and is relayed as-is.
 func (s *Server) runForward(t *task) {
-	opc, _ := opCodeOf(t.op)
 	// The rid and this peer's own address travel with the hop, so the owner
 	// records the forwarded tree under the same rid, tagged with its origin
 	// — the two halves of the cross-peer trace stitch back together by rid.
@@ -975,7 +850,7 @@ func (s *Server) runForward(t *task) {
 	if rid == "" {
 		rid = t.tr.id()
 	}
-	req := RequestV2{Op: opc, RID: rid, U: t.u, V: t.v,
+	req := RequestV2{Op: t.op, RID: rid, U: t.u, V: t.v,
 		Forwarded: true, Origin: s.cfg.Peer}
 	if len(t.faults) > 0 {
 		req.Faults = make([]hhc.Node, 0, len(t.faults))
@@ -986,7 +861,7 @@ func (s *Server) runForward(t *task) {
 	remaining := time.Until(t.deadline)
 	if remaining <= 0 {
 		t.tr.endForward()
-		s.deliverAll(t, outcome{code: CodeDeadline, errMsg: ErrDeadlineExceeded.Error()})
+		s.deliverAll(t, outcome{code: StatusDeadline, errMsg: ErrDeadlineExceeded.Error()})
 		return
 	}
 	req.TimeoutNS = int64(remaining)
@@ -1009,7 +884,7 @@ func (s *Server) runForward(t *task) {
 		// internal): that verdict is the answer — the hop itself worked.
 		t.tr.endForwardWith(peer, resp.QueueNS, resp.ExecNS)
 		s.counters.Forwarded.Inc()
-		s.deliverAll(t, outcome{code: se.Code, errMsg: se.Msg})
+		s.deliverAll(t, outcome{code: statusOf(se.Code), errMsg: se.Msg})
 		return
 	}
 	// The peer is unreachable, the stream broke, or the owner is too loaded
@@ -1029,22 +904,18 @@ func (s *Server) fallbackLocal(t *task) {
 	t.pc.pending.Done()
 }
 
-// fail answers a request that never reached the queue.
-func (s *Server) fail(pc *serverConn, req Request, rid string, tr *reqTrace, msg string) {
-	s.counters.Failed.Inc()
-	s.logResponse(pc.remote, req.Op, rid, CodeBadRequest, msg)
-	pc.send(&Response{Ver: ProtocolVersion, ID: req.ID, RID: rid, Op: req.Op,
-		Code: CodeBadRequest, Err: msg})
-	tr.finish(CodeBadRequest)
-}
-
-// failV2 answers a binary request that never reached the queue.
-func (s *Server) failV2(pc *serverConn, id uint64, op uint8, rid string, tr *reqTrace, msg string) {
-	s.counters.Failed.Inc()
-	name, _ := opNameOf(op)
-	s.logResponse(pc.remote, name, rid, CodeBadRequest, msg)
-	pc.sendV2(&ResponseV2{ID: id, RID: rid, Op: op, Code: StatusBadRequest, Err: msg})
-	tr.finish(CodeBadRequest)
+// fail answers a request that never reached the queue: a frame refused
+// at decode or during the drain (tr is nil: nothing was traced yet), or a
+// request that failed validation.
+func (s *Server) fail(pc *serverConn, in *inbound, rid string, tr *reqTrace, code uint8, err error) {
+	if code != StatusShutdown {
+		// A drain refusal is not a failure (deliver does not count one either).
+		s.counters.Failed.Inc()
+	}
+	msg := err.Error()
+	s.logResponse(pc.remote, in.op, rid, code, msg)
+	pc.send(in.v1, &ResponseV2{ID: in.req.ID, RID: rid, Op: in.req.Op, Code: code, Err: msg})
+	tr.finish(code)
 }
 
 // worker executes queued tasks until the queue closes.
@@ -1067,21 +938,17 @@ func (s *Server) process(t *task) {
 	}
 	var out outcome
 	if !t.deadline.IsZero() && time.Now().After(t.deadline) {
-		out = outcome{code: CodeDeadline, errMsg: ErrDeadlineExceeded.Error()}
+		out = outcome{code: StatusDeadline, errMsg: ErrDeadlineExceeded.Error()}
 	} else {
 		t.tr.startExec()
 		execStart := time.Now()
 		switch t.op {
-		case OpPaths:
+		case OpCodePaths:
 			out = s.doPaths(t)
-		case OpRoute:
+		case OpCodeRoute:
 			out = s.doRoute(t)
-		case OpBatch:
-			if t.proto == ProtocolV2 {
-				out = s.doBatchV2(t)
-			} else {
-				out = s.doBatch(t)
-			}
+		case OpCodeBatch:
+			out = s.doBatch(t)
 		}
 		out.execNS = int64(time.Since(execStart))
 		s.met.observeExec(time.Duration(out.execNS), t.rid)
@@ -1095,7 +962,7 @@ func (s *Server) process(t *task) {
 func (s *Server) doPaths(t *task) outcome {
 	paths, err := s.cache.Paths(t.u, t.v, core.Options{})
 	if err != nil {
-		return outcome{code: CodeBadRequest, errMsg: err.Error()}
+		return outcome{code: StatusBadRequest, errMsg: err.Error()}
 	}
 	return outcome{paths: paths}
 }
@@ -1103,20 +970,20 @@ func (s *Server) doPaths(t *task) outcome {
 // doRoute picks the shortest container path avoiding the declared faults.
 func (s *Server) doRoute(t *task) outcome {
 	if t.faults[t.u] {
-		return outcome{code: CodeBadRequest,
+		return outcome{code: StatusBadRequest,
 			errMsg: fmt.Sprintf("pathsvc: source %s is faulty", s.g.FormatNode(t.u))}
 	}
 	if t.faults[t.v] {
-		return outcome{code: CodeBadRequest,
+		return outcome{code: StatusBadRequest,
 			errMsg: fmt.Sprintf("pathsvc: destination %s is faulty", s.g.FormatNode(t.v))}
 	}
 	paths, err := s.cache.Paths(t.u, t.v, core.Options{})
 	if err != nil {
-		return outcome{code: CodeBadRequest, errMsg: err.Error()}
+		return outcome{code: StatusBadRequest, errMsg: err.Error()}
 	}
 	surviving := core.SurvivingPaths(paths, t.faults)
 	if len(surviving) == 0 {
-		return outcome{code: CodeUnroutable, errMsg: core.ErrAllPathsFaulty.Error()}
+		return outcome{code: StatusUnroutable, errMsg: core.ErrAllPathsFaulty.Error()}
 	}
 	sort.Slice(surviving, func(i, j int) bool { return len(surviving[i]) < len(surviving[j]) })
 	return outcome{paths: surviving[:1]}
@@ -1133,39 +1000,41 @@ const (
 
 // doBatch serves every pair through the cache, checking the deadline
 // between items so a huge batch cannot outlive its budget, and the encoded
-// size so the response is refused with a typed error — rather than
-// silently undeliverable — when it cannot fit one reply frame.
+// size — in the recipient's own encoding — so the response is refused with
+// a typed error, rather than silently undeliverable, when it cannot fit
+// one reply frame. Containers stay node-native; the encoder packs them.
 func (s *Server) doBatch(t *task) outcome {
 	sizeBudget := s.cfg.MaxFrame - batchEnvelopeBytes
 	size := 0
 	nonOwned := false
-	results := make([]BatchItem, 0, len(t.pairs))
+	results := make([]BatchItemV2, 0, len(t.pairs))
 	for i, pair := range t.pairs {
 		if time.Now().After(t.deadline) {
-			return outcome{code: CodeDeadline, errMsg: ErrDeadlineExceeded.Error()}
+			return outcome{code: StatusDeadline, errMsg: ErrDeadlineExceeded.Error()}
 		}
-		item := BatchItem{U: pair[0], V: pair[1]}
-		u, err := s.g.ParseNode(pair[0])
+		item := BatchItemV2{U: pair.U, V: pair.V}
+		var err error
+		if t.pairErrs != nil {
+			err = t.pairErrs[i]
+		}
 		if err == nil {
-			var v hhc.Node
-			if v, err = s.g.ParseNode(pair[1]); err == nil {
-				if s.cfg.Router != nil && !s.cfg.Router.Owns(u, v) {
-					nonOwned = true
-				}
-				var paths [][]hhc.Node
-				if paths, err = s.cache.Paths(u, v, core.Options{}); err == nil {
-					item.Paths = s.formatPaths(paths, len(paths))
-				}
+			err = s.checkNode(pair.U)
+		}
+		if err == nil {
+			err = s.checkNode(pair.V)
+		}
+		if err == nil {
+			if s.cfg.Router != nil && !s.cfg.Router.Owns(pair.U, pair.V) {
+				nonOwned = true
 			}
+			item.Paths, err = s.cache.Paths(pair.U, pair.V, core.Options{})
 		}
 		if err != nil {
 			item.Err = err.Error()
 		}
-		if enc, jerr := json.Marshal(item); jerr == nil {
-			size += len(enc) + 1 // +1 for the separating comma
-		}
+		size += t.batchItemSize(i, &item)
 		if size > sizeBudget {
-			return outcome{code: CodeBadRequest, errMsg: fmt.Sprintf(
+			return outcome{code: StatusBadRequest, errMsg: fmt.Sprintf(
 				"pathsvc: batch response exceeds the %d-byte frame limit at pair %d of %d; split the batch",
 				s.cfg.MaxFrame, i+1, len(t.pairs))}
 		}
@@ -1184,50 +1053,6 @@ func (s *Server) noteBatchLocal(t *task, nonOwned bool) {
 	if nonOwned && s.cfg.Router != nil && !t.forwarded {
 		s.counters.BatchLocal.Inc()
 	}
-}
-
-// doBatchV2 serves a binary batch: per-pair containers kept node-native
-// (the encoder packs them without any per-node formatting), the deadline
-// checked between items, and the exact v2 encoded size budgeted against
-// the frame limit so an unfittable reply is refused with a typed error
-// rather than silently undeliverable.
-func (s *Server) doBatchV2(t *task) outcome {
-	sizeBudget := s.cfg.MaxFrame - batchEnvelopeBytes
-	size := 0
-	nonOwned := false
-	results := make([]BatchItemV2, 0, len(t.nodePairs))
-	for i, pair := range t.nodePairs {
-		if time.Now().After(t.deadline) {
-			return outcome{code: CodeDeadline, errMsg: ErrDeadlineExceeded.Error()}
-		}
-		item := BatchItemV2{U: pair.U, V: pair.V}
-		var err error
-		if !s.g.Contains(pair.U) {
-			err = s.nodeRangeErr(pair.U)
-		} else if !s.g.Contains(pair.V) {
-			err = s.nodeRangeErr(pair.V)
-		} else {
-			if s.cfg.Router != nil && !s.cfg.Router.Owns(pair.U, pair.V) {
-				nonOwned = true
-			}
-			var paths [][]hhc.Node
-			if paths, err = s.cache.Paths(pair.U, pair.V, core.Options{}); err == nil {
-				item.Paths = paths
-			}
-		}
-		if err != nil {
-			item.Err = err.Error()
-		}
-		size += batchItemSizeV2(&item)
-		if size > sizeBudget {
-			return outcome{code: CodeBadRequest, errMsg: fmt.Sprintf(
-				"pathsvc: batch response exceeds the %d-byte frame limit at pair %d of %d; split the batch",
-				s.cfg.MaxFrame, i+1, len(t.nodePairs))}
-		}
-		results = append(results, item)
-	}
-	s.noteBatchLocal(t, nonOwned)
-	return outcome{resultsV2: results}
 }
 
 // deliverAll answers the leader and, for coalesced queries, every waiter
@@ -1249,95 +1074,34 @@ func (s *Server) deliverAll(t *task, out outcome) {
 	s.deliver(t.pendingReq, out)
 }
 
-// deliver renders one recipient's response in its own wire version: its
-// own deadline check, its own width truncation, its own counters and
-// latency sample.
+// deliver answers one recipient: its own deadline check, its own width
+// truncation, its own counters and latency sample, in its own encoding.
+// The OK path shares out.paths read-only (resp.Paths = out.paths[:k]):
+// send encodes it exactly once on this goroutine, so there is no
+// defensive copy, and a v2 answer needs no per-node formatting at all.
+// The tree reaches the flight recorder after the write (the encode span
+// covers it), so a client holding its answer may not see the tree yet.
+//
+//hhc:hotpath
 func (s *Server) deliver(p pendingReq, out outcome) {
-	if p.proto == ProtocolV2 {
-		s.deliverV2(p, out)
-		return
-	}
 	defer p.pc.pending.Done()
-	resp := &Response{Ver: ProtocolVersion, ID: p.id, RID: p.rid, Op: p.op,
+	resp := ResponseV2{ID: p.id, RID: p.rid, Op: p.op,
 		QueueNS: p.queueNS, ExecNS: out.execNS, Coalesced: p.coalesced}
 	code := out.code
-	if code == CodeOK && !p.deadline.IsZero() && time.Now().After(p.deadline) {
+	if code == StatusOK && !p.deadline.IsZero() && time.Now().After(p.deadline) {
 		// The shared construction finished, but after this requester's own
 		// deadline: a stale answer is still a missed deadline.
-		code, out = CodeDeadline, outcome{errMsg: ErrDeadlineExceeded.Error()}
+		code, out = StatusDeadline, outcome{errMsg: ErrDeadlineExceeded.Error()}
 	}
 	switch code {
-	case CodeOK:
+	case StatusOK:
 		switch p.op {
-		case OpPaths:
+		case OpCodePaths:
 			full := len(out.paths)
-			want := full
-			if p.maxPaths > 0 && p.maxPaths < want {
-				want = p.maxPaths
+			k := full
+			if p.maxPaths > 0 && p.maxPaths < k {
+				k = p.maxPaths
 			}
-			k := want
-			if p.degraded && s.cfg.DegradeWidth < k {
-				k = s.cfg.DegradeWidth
-				resp.Degraded = true
-				s.counters.Degraded.Inc()
-			}
-			resp.Paths = s.formatPaths(out.paths, k)
-			resp.Width, resp.Full = k, full
-			p.tr.setAttr("width", fmt.Sprint(k))
-		case OpRoute:
-			resp.Paths = s.formatPaths(out.paths, len(out.paths))
-			resp.Width, resp.Full = len(out.paths), s.g.M()+1
-		case OpBatch:
-			resp.Results = out.results
-		}
-		s.counters.Completed.Inc()
-	case CodeDeadline:
-		s.counters.Deadline.Inc()
-		resp.Code, resp.Err = code, out.errMsg
-	case CodeOverload, CodeShutdown:
-		// Shed/refused work is already counted at its decision site.
-		resp.Code, resp.Err = code, out.errMsg
-		resp.RetryAfterMS = out.retryMS
-	default:
-		s.counters.Failed.Inc()
-		resp.Code, resp.Err = code, out.errMsg
-	}
-	if code != CodeOK {
-		s.logResponse(p.pc.remote, p.op, p.rid, code, resp.Err)
-	}
-	p.tr.startEncode()
-	p.pc.send(resp)
-	p.tr.endEncode()
-	p.tr.finish(code)
-	s.met.observeRequest(time.Since(p.start), p.rid)
-}
-
-// deliverV2 renders one binary-protocol recipient's response. The OK path
-// shares out.paths read-only (resp.Paths = out.paths[:k]): the encoder
-// walks it exactly once on this goroutine, so unlike v1's formatPaths
-// there is no defensive copy and no per-node formatting — the bulk of the
-// v2 serve path's allocation win.
-func (s *Server) deliverV2(p pendingReq, out outcome) {
-	defer p.pc.pending.Done()
-	opc, _ := opCodeOf(p.op)
-	resp := ResponseV2{ID: p.id, RID: p.rid, Op: opc,
-		QueueNS: p.queueNS, ExecNS: out.execNS, Coalesced: p.coalesced}
-	code := out.code
-	if code == CodeOK && !p.deadline.IsZero() && time.Now().After(p.deadline) {
-		// The shared construction finished, but after this requester's own
-		// deadline: a stale answer is still a missed deadline.
-		code, out = CodeDeadline, outcome{errMsg: ErrDeadlineExceeded.Error()}
-	}
-	switch code {
-	case CodeOK:
-		switch p.op {
-		case OpPaths:
-			full := len(out.paths)
-			want := full
-			if p.maxPaths > 0 && p.maxPaths < want {
-				want = p.maxPaths
-			}
-			k := want
 			if p.degraded && s.cfg.DegradeWidth < k {
 				k = s.cfg.DegradeWidth
 				resp.Degraded = true
@@ -1345,49 +1109,32 @@ func (s *Server) deliverV2(p pendingReq, out outcome) {
 			}
 			resp.Paths = out.paths[:k]
 			resp.Width, resp.Full = k, full
-			if p.tr != nil {
-				p.tr.setAttr("width", fmt.Sprint(k))
-			}
-		case OpRoute:
+			p.tr.setAttrInt("width", k)
+		case OpCodeRoute:
 			resp.Paths = out.paths
 			resp.Width, resp.Full = len(out.paths), s.g.M()+1
-		case OpBatch:
-			resp.Results = out.resultsV2
+		case OpCodeBatch:
+			resp.Results = out.results
 		}
 		s.counters.Completed.Inc()
-	case CodeDeadline:
+	case StatusDeadline:
 		s.counters.Deadline.Inc()
-		resp.Code, resp.Err = StatusDeadline, out.errMsg
-	case CodeOverload, CodeShutdown:
+		resp.Code, resp.Err = code, out.errMsg
+	case StatusOverload, StatusShutdown:
 		// Shed/refused work is already counted at its decision site.
-		resp.Code, resp.Err = statusOf(code), out.errMsg
-		resp.RetryAfterNS = out.retryMS * int64(time.Millisecond)
+		resp.Code, resp.Err = code, out.errMsg
+		resp.RetryAfterNS = out.retryNS
 	default:
 		s.counters.Failed.Inc()
-		resp.Code, resp.Err = statusOf(code), out.errMsg
+		resp.Code, resp.Err = code, out.errMsg
 	}
-	if code != CodeOK {
-		s.logResponse(p.pc.remote, p.op, p.rid, code, resp.Err)
+	if code != StatusOK {
+		op, _ := opNameOf(p.op)
+		s.logResponse(p.pc.remote, op, p.rid, code, resp.Err)
 	}
 	p.tr.startEncode()
-	p.pc.sendV2(&resp)
+	p.pc.send(p.v1, &resp)
 	p.tr.endEncode()
 	p.tr.finish(code)
 	s.met.observeRequest(time.Since(p.start), p.rid)
-}
-
-// formatPaths renders the first k container paths in wire form.
-func (s *Server) formatPaths(paths [][]hhc.Node, k int) [][]string {
-	if k > len(paths) {
-		k = len(paths)
-	}
-	out := make([][]string, k)
-	for i := 0; i < k; i++ {
-		p := make([]string, len(paths[i]))
-		for j, n := range paths[i] {
-			p[j] = s.g.FormatNode(n)
-		}
-		out[i] = p
-	}
-	return out
 }

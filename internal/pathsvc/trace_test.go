@@ -44,15 +44,15 @@ func TestServerTimingFields(t *testing.T) {
 	if resp.RID != "cli-42" {
 		t.Errorf("rid = %q, want the client-supplied cli-42", resp.RID)
 	}
-	found := false
-	for _, tr := range rt.Snapshot().Recent {
-		if tr.ID == "cli-42" {
-			found = true
+	// The tree is recorded after the reply is written (see deliver).
+	waitFor(t, "cli-42 tree recorded", func() bool {
+		for _, tr := range rt.Snapshot().Recent {
+			if tr.ID == "cli-42" {
+				return true
+			}
 		}
-	}
-	if !found {
-		t.Error("client-supplied rid absent from the flight recorder")
-	}
+		return false
+	})
 }
 
 func TestRIDPassThroughWithoutTracer(t *testing.T) {
@@ -126,6 +126,11 @@ func TestRequestTraceRecorded(t *testing.T) {
 		t.Fatal("bogus op succeeded")
 	}
 
+	// Each tree is recorded after its reply is written (see deliver).
+	waitFor(t, "both trees recorded", func() bool {
+		total, _ := rt.Totals()
+		return total >= 2
+	})
 	snap := rt.Snapshot()
 	if snap.Total != 2 || snap.Errored != 1 {
 		t.Fatalf("recorder totals = %d/%d, want 2 requests, 1 errored", snap.Total, snap.Errored)
@@ -174,6 +179,11 @@ func TestSlowThresholdForceRetains(t *testing.T) {
 	if _, err := c.Paths("0x0:0", "0xff:7", 0, 0); err != nil {
 		t.Fatal(err)
 	}
+	// The tree is recorded after the reply is written (see deliver).
+	waitFor(t, "tree recorded", func() bool {
+		total, _ := rt.Totals()
+		return total >= 1
+	})
 	snap := rt.Snapshot()
 	if len(snap.Slow) != 1 || !snap.Slow[0].Slow {
 		t.Errorf("slow bucket = %v, want the one over-threshold request", snap.Slow)

@@ -1,6 +1,6 @@
 // Package pathsvc puts the container construction on the wire: a
-// length-prefixed JSON-over-TCP protocol serving disjoint-path queries
-// (single, batch, and fault-avoiding variants) backed by internal/core and
+// length-prefixed TCP protocol serving disjoint-path queries (single,
+// batch, and fault-avoiding variants) backed by internal/core and
 // internal/cache, plus the server-side production engineering the paper's
 // poly(n) bound makes possible — bounded admission queues, per-request
 // deadlines, in-flight coalescing of identical queries, and load shedding
@@ -9,12 +9,14 @@
 // # Wire format
 //
 // Every message is one frame: a 4-byte big-endian payload length followed
-// by that many bytes of JSON. Requests and responses are versioned
-// (Request.Ver / Response.Ver, currently ProtocolVersion = 1); a server
-// rejects versions it does not speak with CodeBadRequest rather than
-// guessing. Node addresses travel in the textual "x:y" form of
-// hhc.ParseNode / hhc.FormatNode, so the protocol needs no binary
-// compatibility story for topology types.
+// by that many bytes in one of two encodings, told apart by the first
+// payload byte. Wire v1 (wire.go) is one JSON object (ProtocolVersion =
+// 1, carried in Request.Ver / Response.Ver; a server rejects versions it
+// does not speak with CodeBadRequest rather than guessing), with node
+// addresses in the textual "x:y" form of hhc.ParseNode / hhc.FormatNode.
+// Wire v2 (wire2.go) is a fixed-layout binary encoding of the same
+// requests and responses with packed node addresses. The server runs one
+// request path on the v2 types and translates v1 at the frame boundary.
 package pathsvc
 
 import (
