@@ -51,12 +51,14 @@ bench:
 		"$$(tr -d '\n' < BENCH_pathsvc_v2.json)" >> BENCH_trajectory.jsonl
 	@echo "bench: appended entry $$(wc -l < BENCH_trajectory.jsonl | tr -d ' ') to BENCH_trajectory.jsonl"
 
-# Construction benchmarks under the CPU profiler; prints the top-10 by
-# cumulative time so hot spots are visible without opening the web UI.
+# Construction benchmarks under the CPU and memory profilers; prints the
+# top-10 by CPU time and the top-10 by allocated objects, so hot spots and
+# allocation regressions are visible without opening the web UI.
 profile:
 	$(GO) test -bench='BenchmarkConstruct|BenchmarkBatch' -benchmem \
-		-cpuprofile=cpu.prof -o bench.test .
+		-cpuprofile=cpu.prof -memprofile=mem.prof -o bench.test .
 	$(GO) tool pprof -top -nodecount=10 bench.test cpu.prof
+	$(GO) tool pprof -sample_index=alloc_objects -top -nodecount=10 bench.test mem.prof
 
 # Full-fidelity evaluation (regenerates every table in EXPERIMENTS.md).
 exps:

@@ -367,11 +367,24 @@ func (s *shard) insert(k key, paths [][]hhc.Node, cap int, counters *stats.Cache
 }
 
 // mapPaths maps a stored container through the automorphism into fresh
-// slices — the stored value is never aliased by returned results.
+// slices — the stored value is never aliased by returned results. All
+// paths share one backing array, each capped so that appending to one
+// path reallocates it instead of overwriting the next.
 func mapPaths(back hhc.Automorphism, paths [][]hhc.Node) [][]hhc.Node {
+	total := 0
+	for _, p := range paths {
+		total += len(p)
+	}
+	backing := make([]hhc.Node, total)
 	out := make([][]hhc.Node, len(paths))
+	off := 0
 	for i, p := range paths {
-		out[i] = back.ApplyPath(p)
+		q := backing[off : off+len(p) : off+len(p)]
+		for j, u := range p {
+			q[j] = back.Apply(u)
+		}
+		out[i] = q
+		off += len(p)
 	}
 	return out
 }

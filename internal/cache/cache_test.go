@@ -326,6 +326,29 @@ func TestCallerOwnsResult(t *testing.T) {
 	}
 }
 
+// TestResultPathsCapped: a returned container's paths share one backing
+// array, so appending to one path must not overwrite the next.
+func TestResultPathsCapped(t *testing.T) {
+	g := mustGraph(t, 3)
+	c := mustCache(t, g, Options{})
+	u, v := hhc.Node{X: 0x01, Y: 0}, hhc.Node{X: 0xfe, Y: 7}
+	for round := 0; round < 2; round++ { // a miss, then a hit
+		paths, err := c.Paths(u, v, core.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, p := range paths {
+			if cap(p) != len(p) {
+				t.Fatalf("round %d path %d: len %d, cap %d", round, i, len(p), cap(p))
+			}
+		}
+		_ = append(paths[0], hhc.Node{X: 0xdead})
+		if err := core.VerifyContainer(g, u, v, paths); err != nil {
+			t.Fatalf("round %d: append to path 0 disturbed the container: %v", round, err)
+		}
+	}
+}
+
 // TestBypassInvalidRequests: invalid pairs skip the cache and report the
 // construction's own errors, without disturbing counters or entries.
 func TestBypassInvalidRequests(t *testing.T) {

@@ -19,9 +19,13 @@ func realize(g *hhc.Graph, u, v hhc.Node, seqs [][]int) ([][]hhc.Node, error) {
 	alpha, beta := uint64(u.Y), uint64(v.Y)
 
 	// Fan targets preserve the order of seqs so paths can look them up.
-	exitFor := make([]int, len(seqs))  // index into fanA, or -1 for direct exit
-	entryFor := make([]int, len(seqs)) // index into fanB, or -1 for direct entry
-	var exitTargets, entryTargets []uint64
+	n := len(seqs)
+	idx := make([]int, 3*n)
+	exitFor := idx[:n]       // index into fanA, or -1 for direct exit
+	entryFor := idx[n : 2*n] // index into fanB, or -1 for direct entry
+	lens := idx[2*n:]        // node count of each path
+	fanTargets := make([]uint64, 2*n)
+	exitTargets, entryTargets := fanTargets[:0:n], fanTargets[n:n]
 	for i, seq := range seqs {
 		first, last := uint64(seq[0]), uint64(seq[len(seq)-1])
 		if first == alpha {
@@ -46,9 +50,31 @@ func realize(g *hhc.Graph, u, v hhc.Node, seqs [][]int) ([][]hhc.Node, error) {
 		return nil, fmt.Errorf("core: destination fan: %w", err)
 	}
 
-	paths := make([][]hhc.Node, len(seqs))
+	// Every path's length is known before any node is written: the fan
+	// segments, one crossing per super-dimension, and a bit-fix walk of
+	// Hamming length between consecutive processors. All paths share one
+	// exact-size backing array, each capped so an append by a caller
+	// cannot run into its neighbor.
+	total := 0
 	for i, seq := range seqs {
-		path := []hhc.Node{u}
+		size := 1 + len(seq)
+		if fi := exitFor[i]; fi >= 0 {
+			size += len(fanA[fi]) - 1
+		}
+		for k := 1; k < len(seq); k++ {
+			size += hypercube.Hamming(uint64(seq[k-1]), uint64(seq[k]))
+		}
+		if fi := entryFor[i]; fi >= 0 {
+			size += len(fanB[fi]) - 1
+		}
+		lens[i] = size
+		total += size
+	}
+	backing := make([]hhc.Node, total)
+	paths := make([][]hhc.Node, n)
+	off := 0
+	for i, seq := range seqs {
+		path := append(backing[off:off:off+lens[i]], u)
 		x, y := u.X, alpha
 		if fi := exitFor[i]; fi >= 0 {
 			for _, w := range fanA[fi][1:] {
@@ -62,10 +88,11 @@ func realize(g *hhc.Graph, u, v hhc.Node, seqs [][]int) ([][]hhc.Node, error) {
 					return nil, fmt.Errorf("core: internal: exit %d != first dim %d", y, dim)
 				}
 			} else {
-				for _, w := range hypercube.BitFixPath(y, uint64(dim))[1:] {
-					path = append(path, hhc.Node{X: x, Y: uint8(w)})
+				// Greedy bit-fixing walk y -> dim, least significant bit first.
+				for diff := y ^ uint64(dim); diff != 0; diff &= diff - 1 {
+					y ^= diff & -diff
+					path = append(path, hhc.Node{X: x, Y: uint8(y)})
 				}
-				y = uint64(dim)
 			}
 			x ^= 1 << uint(dim)
 			path = append(path, hhc.Node{X: x, Y: uint8(y)})
@@ -85,7 +112,11 @@ func realize(g *hhc.Graph, u, v hhc.Node, seqs [][]int) ([][]hhc.Node, error) {
 		if got := path[len(path)-1]; got != v {
 			return nil, fmt.Errorf("core: internal: path %d ends at %s, want %s", i, g.FormatNode(got), g.FormatNode(v))
 		}
+		if len(path) != lens[i] {
+			return nil, fmt.Errorf("core: internal: path %d has %d nodes, sized for %d", i, len(path), lens[i])
+		}
 		paths[i] = path
+		off += lens[i]
 	}
 	return paths, nil
 }

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"fmt"
-
-	"repro/internal/hypercube"
-)
+import "fmt"
 
 // selectSupers picks `count` super-paths (dimension sequences from a to b in
 // the t-cube of son-cube addresses) satisfying the port discipline:
@@ -24,25 +20,42 @@ func selectSupers(t, count int, mask uint64, order []int, aDim, bDim int, detour
 	if d == 0 {
 		return nil, fmt.Errorf("core: empty dimension set")
 	}
-	pos := make(map[int]int, d)
+	// pos[dim] is dim's index in order; only dimensions in D are looked up.
+	pos := make([]int, t)
 	for i, dim := range order {
 		pos[dim] = i
 	}
 	inD := func(j int) bool { return mask&(1<<uint(j)) != 0 }
 
+	// Every sequence is carved from one backing array sized for count
+	// detours (d+2 dimensions each, the longest kind), capped so the
+	// sequences never share room.
+	backing := make([]int, 0, count*(d+2))
 	seqs := make([][]int, 0, count)
-	rotUsed := make([]bool, d)
-	detUsed := make(map[int]bool, t-d)
+	// Bit i of rotUsed: rotation i is taken; bit j of detUsed: the detour
+	// through dimension j is taken (d <= t <= 64).
+	var rotUsed, detUsed uint64
+	push := func(start int) {
+		end := len(backing)
+		seqs = append(seqs, backing[start:end:end])
+	}
 	addRot := func(i int) {
-		if !rotUsed[i] {
-			rotUsed[i] = true
-			seqs = append(seqs, hypercube.Rotation(order, i))
+		if rotUsed&(1<<uint(i)) == 0 {
+			rotUsed |= 1 << uint(i)
+			start := len(backing)
+			backing = append(backing, order[i:]...)
+			backing = append(backing, order[:i]...)
+			push(start)
 		}
 	}
 	addDet := func(j int) {
-		if !detUsed[j] {
-			detUsed[j] = true
-			seqs = append(seqs, hypercube.Detour(order, j))
+		if detUsed&(1<<uint(j)) == 0 {
+			detUsed |= 1 << uint(j)
+			start := len(backing)
+			backing = append(backing, j)
+			backing = append(backing, order...)
+			backing = append(backing, j)
+			push(start)
 		}
 	}
 

@@ -88,7 +88,7 @@ func VertexDisjointPathsDinic(g graph.Graph, s, t uint64, limit int) ([][]uint64
 	if int64(s) >= g.Order() || int64(t) >= g.Order() {
 		return nil, fmt.Errorf("flow: vertex out of range [0,%d)", g.Order())
 	}
-	nw, err := splitNetwork(g, map[uint64]bool{s: true, t: true})
+	nw, _, err := splitNetwork(g, s, t)
 	if err != nil {
 		return nil, err
 	}

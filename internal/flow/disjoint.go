@@ -6,43 +6,53 @@ import (
 	"repro/internal/graph"
 )
 
+// inf is the split capacity of a vertex that may carry any number of paths
+// (the endpoints of an s–t problem, the source of a fan).
+const inf = int32(1 << 30)
+
 // splitNetwork builds the node-split transformation of g: every vertex v
 // becomes in(v)=2v and out(v)=2v+1 joined by a unit-capacity edge (infinite
-// for the vertices in unbounded), and every undirected edge {u,v} becomes
-// out(u)->in(v) and out(v)->in(u) with unit capacity. Edge costs are 1 on
-// adjacency edges and 0 on split edges so that min-cost solutions minimize
-// total path length.
-func splitNetwork(g graph.Graph, unbounded map[uint64]bool) (*Network, error) {
+// for the vertices listed in unbounded), and every undirected edge {u,v}
+// becomes out(u)->in(v) and out(v)->in(u) with unit capacity. Edge costs are
+// 1 on adjacency edges and 0 on split edges so that min-cost solutions
+// minimize total path length. splitEdge[v] is the ID of v's split edge.
+func splitNetwork(g graph.Graph, unbounded ...uint64) (nw *Network, splitEdge []int32, err error) {
 	n := g.Order()
 	if n > graph.MaxDenseOrder/2 {
-		return nil, fmt.Errorf("%w: order %d", graph.ErrTooLarge, n)
+		return nil, nil, fmt.Errorf("%w: order %d", graph.ErrTooLarge, n)
 	}
-	nw := NewNetwork(int(2 * n))
+	nw = NewNetwork(int(2 * n))
+	splitEdge = make([]int32, n)
 	buf := make([]uint64, 0, g.MaxDegree())
-	const inf = int32(1 << 30)
 	for v := int64(0); v < n; v++ {
 		capV := int32(1)
-		if unbounded[uint64(v)] {
-			capV = inf
+		for _, u := range unbounded {
+			if u == uint64(v) {
+				capV = inf
+			}
 		}
-		nw.AddEdge(int32(2*v), int32(2*v+1), capV, 0)
+		splitEdge[v] = int32(nw.AddEdge(int32(2*v), int32(2*v+1), capV, 0))
 		buf = g.Neighbors(uint64(v), buf[:0])
 		for _, w := range buf {
 			nw.AddEdge(int32(2*v+1), int32(2*uint64(w)), 1, 1)
 		}
 	}
-	return nw, nil
+	return nw, splitEdge, nil
 }
 
-// extractPaths decomposes a unit flow on a split network into vertex paths
-// from s to t (original vertex IDs). Each unit of flow yields one path.
-func extractPaths(nw *Network, s, t uint64, units int) [][]uint64 {
-	paths := make([][]uint64, 0, units)
-	// consumed marks edge IDs already claimed by an extracted path.
-	consumed := make(map[int32]bool)
+// walkFlow decomposes the unit flow leaving out(src) on a split network
+// into up to units vertex paths (original vertex IDs). Each walk starts at
+// src and repeatedly takes, from the current vertex's out-side, the first
+// unconsumed adjacency edge carrying flow in edge-list order; it stops at
+// the first vertex v with ends[v] >= 0. A walk that runs dry before
+// reaching such a vertex is dropped. Kept walks are appended to buf back to
+// back, and each one's end offset into buf is appended to offs. consumed
+// holds one entry per edge ID and must be all false on entry.
+func walkFlow(nw *Network, src uint64, units int, ends []int32, consumed []bool, buf []uint64, offs []int) ([]uint64, []int) {
 	for p := 0; p < units; p++ {
-		path := []uint64{s}
-		cur := int32(2*s + 1) // out(s)
+		start := len(buf)
+		buf = append(buf, src)
+		cur := int32(2*src + 1) // out(src)
 		for {
 			var chosen int32 = -1
 			for e := nw.first[cur]; e != -1; e = nw.next[e] {
@@ -59,15 +69,35 @@ func extractPaths(nw *Network, s, t uint64, units int) [][]uint64 {
 			}
 			consumed[chosen] = true
 			next := uint64(nw.to[chosen]) / 2 // in(next) -> original ID
-			path = append(path, next)
-			if next == t {
+			buf = append(buf, next)
+			if ends[next] >= 0 {
 				break
 			}
 			cur = int32(2*next + 1)
 		}
-		if len(path) > 1 && path[len(path)-1] == t {
-			paths = append(paths, path)
+		if len(buf)-start > 1 && ends[buf[len(buf)-1]] >= 0 {
+			offs = append(offs, len(buf))
+		} else {
+			buf = buf[:start]
 		}
+	}
+	return buf, offs
+}
+
+// extractPaths decomposes a unit flow on a split network into vertex paths
+// from s to t (original vertex IDs). Each unit of flow yields one path.
+func extractPaths(nw *Network, s, t uint64, units int) [][]uint64 {
+	ends := make([]int32, nw.Order()/2)
+	for i := range ends {
+		ends[i] = -1
+	}
+	ends[t] = 0
+	buf, offs := walkFlow(nw, s, units, ends, make([]bool, nw.NumEdges()), nil, make([]int, 0, units))
+	paths := make([][]uint64, len(offs))
+	start := 0
+	for i, end := range offs {
+		paths[i] = buf[start:end:end]
+		start = end
 	}
 	return paths
 }
@@ -85,7 +115,7 @@ func VertexDisjointPaths(g graph.Graph, s, t uint64, limit int, minCost bool) ([
 	if int64(s) >= g.Order() || int64(t) >= g.Order() {
 		return nil, fmt.Errorf("flow: vertex out of range [0,%d)", g.Order())
 	}
-	nw, err := splitNetwork(g, map[uint64]bool{s: true, t: true})
+	nw, _, err := splitNetwork(g, s, t)
 	if err != nil {
 		return nil, err
 	}
@@ -106,118 +136,9 @@ func LocalConnectivity(g graph.Graph, s, t uint64) (int, error) {
 	if s == t {
 		return 0, fmt.Errorf("flow: source equals target (%d)", s)
 	}
-	nw, err := splitNetwork(g, map[uint64]bool{s: true, t: true})
+	nw, _, err := splitNetwork(g, s, t)
 	if err != nil {
 		return 0, err
 	}
 	return int(nw.MaxFlow(int32(2*s+1), int32(2*t), 0)), nil
-}
-
-// VertexDisjointFan returns len(targets) paths from src to each target,
-// pairwise sharing no vertex except src, and such that no path passes
-// through another target. The family minimizes total length (min-cost flow).
-// Returned paths are ordered to match targets. Targets must be distinct and
-// different from src; an error is returned if no full fan exists (by the fan
-// lemma one always exists when the graph is len(targets)-connected).
-func VertexDisjointFan(g graph.Graph, src uint64, targets []uint64) ([][]uint64, error) {
-	k := len(targets)
-	if k == 0 {
-		return nil, nil
-	}
-	seen := make(map[uint64]bool, k)
-	for _, t := range targets {
-		if t == src {
-			return nil, fmt.Errorf("flow: fan target equals source %d", src)
-		}
-		if seen[t] {
-			return nil, fmt.Errorf("flow: duplicate fan target %d", t)
-		}
-		seen[t] = true
-	}
-	n := g.Order()
-	if n > 1<<20 {
-		return nil, fmt.Errorf("%w: fan wants order <= 2^20, have %d", graph.ErrTooLarge, n)
-	}
-	nw, err := splitNetwork(g, map[uint64]bool{src: true})
-	if err != nil {
-		return nil, err
-	}
-	// Super-sink collecting one unit from each target's OUT-side. A full fan
-	// saturates every out(t)->super edge, which consumes each target's unit
-	// vertex capacity on termination — so no other path can pass through a
-	// target, giving the strong fan property (paths meet the target set only
-	// at their own endpoints).
-	super := int32(nw.Order())
-	// Grow the network by one vertex: rebuild is avoided by appending heads.
-	nw.first = append(nw.first, -1)
-	nw.n++
-	for _, t := range targets {
-		nw.AddEdge(int32(2*t+1), super, 1, 0)
-	}
-	got, _ := nw.MinCostFlow(int32(2*src+1), super, int32(k))
-	if got != int32(k) {
-		return nil, fmt.Errorf("flow: fan from %d to %d targets: only %d disjoint paths exist", src, k, got)
-	}
-	raw := extractFanPaths(nw, src, targets)
-	if len(raw) != k {
-		return nil, fmt.Errorf("flow: fan decomposition produced %d of %d paths", len(raw), k)
-	}
-	// Order by target.
-	byEnd := make(map[uint64][]uint64, k)
-	for _, p := range raw {
-		byEnd[p[len(p)-1]] = p
-	}
-	out := make([][]uint64, k)
-	for i, t := range targets {
-		p, ok := byEnd[t]
-		if !ok {
-			return nil, fmt.Errorf("flow: fan missing path to target %d", t)
-		}
-		out[i] = p
-	}
-	return out, nil
-}
-
-// extractFanPaths walks unit flows from src until a vertex whose in->super
-// edge carries flow is reached.
-func extractFanPaths(nw *Network, src uint64, targets []uint64) [][]uint64 {
-	targetSet := make(map[uint64]bool, len(targets))
-	for _, t := range targets {
-		targetSet[t] = true
-	}
-	var paths [][]uint64
-	consumed := make(map[int32]bool)
-	for range targets {
-		path := []uint64{src}
-		cur := int32(2*src + 1)
-		for {
-			var chosen int32 = -1
-			for e := nw.first[cur]; e != -1; e = nw.next[e] {
-				if e%2 != 0 || consumed[e] {
-					continue
-				}
-				if nw.Flow(int(e)) > 0 && nw.cost[e] > 0 {
-					chosen = e
-					break
-				}
-			}
-			if chosen == -1 {
-				break
-			}
-			consumed[chosen] = true
-			next := uint64(nw.to[chosen]) / 2
-			path = append(path, next)
-			// Every target's out->super edge is saturated in a full fan, so
-			// its single vertex unit is consumed by termination: a reached
-			// target always ends the path.
-			if targetSet[next] {
-				break
-			}
-			cur = int32(2*next + 1)
-		}
-		if len(path) > 1 && targetSet[path[len(path)-1]] {
-			paths = append(paths, path)
-		}
-	}
-	return paths
 }

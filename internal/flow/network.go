@@ -29,6 +29,14 @@ type Network struct {
 	to    []int32
 	cap   []int32
 	cost  []int32
+
+	// MinCostFlow's SPFA scratch, sized on first use and kept so that
+	// repeated solves on one network (every fan of a FanPlan scratch)
+	// allocate nothing.
+	dist    []int32
+	parent  []int32 // edge that last relaxed each vertex, -1 if none
+	inQueue []bool
+	queue   []int32 // FIFO ring of n slots: inQueue keeps each vertex in it at most once
 }
 
 // NewNetwork returns an empty network on n vertices (IDs 0..n-1).
@@ -128,25 +136,35 @@ func (nw *Network) MaxFlow(s, t int32, limit int32) int32 {
 // MinCostFlow pushes up to limit units from s to t along successively
 // cheapest augmenting paths (SPFA/Bellman-Ford, so negative residual costs
 // are fine) and returns the achieved flow and its total cost. limit <= 0
-// means unbounded. Intended for small networks.
+// means unbounded. Intended for small networks. Its working arrays live on
+// the network, so only the first call allocates.
 func (nw *Network) MinCostFlow(s, t int32, limit int32) (flowVal, totalCost int32) {
 	if limit <= 0 {
 		limit = math.MaxInt32
 	}
-	dist := make([]int32, nw.n)
-	inQueue := make([]bool, nw.n)
-	parentEdge := make([]int32, nw.n)
+	n := int32(nw.n)
+	if len(nw.dist) < nw.n {
+		nw.dist = make([]int32, n)
+		nw.parent = make([]int32, n)
+		nw.inQueue = make([]bool, n)
+		nw.queue = make([]int32, n)
+	}
+	dist, parentEdge, inQueue, queue := nw.dist[:n], nw.parent[:n], nw.inQueue[:n], nw.queue[:n]
 	for flowVal < limit {
 		for i := range dist {
 			dist[i] = math.MaxInt32
 			parentEdge[i] = -1
 		}
 		dist[s] = 0
-		queue := []int32{s}
+		queue[0] = s
+		head, size := int32(0), int32(1)
 		inQueue[s] = true
-		for len(queue) > 0 {
-			v := queue[0]
-			queue = queue[1:]
+		for size > 0 {
+			v := queue[head]
+			if head++; head == n {
+				head = 0
+			}
+			size--
 			inQueue[v] = false
 			for e := nw.first[v]; e != -1; e = nw.next[e] {
 				w := nw.to[e]
@@ -155,7 +173,12 @@ func (nw *Network) MinCostFlow(s, t int32, limit int32) (flowVal, totalCost int3
 					parentEdge[w] = e
 					if !inQueue[w] {
 						inQueue[w] = true
-						queue = append(queue, w)
+						tail := head + size
+						if tail >= n {
+							tail -= n
+						}
+						queue[tail] = w
+						size++
 					}
 				}
 			}

@@ -2,6 +2,7 @@ package hypercube
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/flow"
 )
@@ -10,6 +11,28 @@ import (
 // flow solver runs on the 2·2^k-vertex split graph, so we keep k small. The
 // hierarchical hypercube only ever needs k = m <= 6.
 const MaxFanDim = 16
+
+// fanPlans holds one split-network plan per cube dimension, each built on
+// the first fan in that dimension and shared by every later one.
+var fanPlans [MaxFanDim + 1]struct {
+	once sync.Once
+	plan *flow.FanPlan
+	err  error
+}
+
+// fanPlan returns the shared plan for Q_k (0 <= k <= MaxFanDim).
+func fanPlan(k int) (*flow.FanPlan, error) {
+	p := &fanPlans[k]
+	p.once.Do(func() {
+		g, err := NewGraph(k)
+		if err != nil {
+			p.err = err
+			return
+		}
+		p.plan, p.err = flow.NewFanPlan(g)
+	})
+	return p.plan, p.err
+}
 
 // Fan returns len(targets) vertex paths in Q_k from src to each target such
 // that the paths pairwise share only src and no path passes through another
@@ -35,9 +58,9 @@ func Fan(k int, src uint64, targets []uint64) ([][]uint64, error) {
 	if len(targets) == 0 {
 		return nil, nil
 	}
-	g, err := NewGraph(k)
+	plan, err := fanPlan(k)
 	if err != nil {
 		return nil, err
 	}
-	return flow.VertexDisjointFan(g, src, targets)
+	return plan.Fan(src, targets)
 }

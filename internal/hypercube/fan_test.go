@@ -124,3 +124,24 @@ func TestFanErrors(t *testing.T) {
 		t.Error("dimension too large: want error")
 	}
 }
+
+// FanAllocBudget bounds the allocations of one Fan in Q_5 once the
+// dimension's plan exists: the result's path list and its one backing
+// array. Solver scratch is recycled, so a regression that rebuilds the
+// split network or allocates per walk shows here.
+const FanAllocBudget = 8
+
+func TestFanAllocBudget(t *testing.T) {
+	const k = 5
+	src := uint64(0b00101)
+	targets := []uint64{0b11010, 0b00001, 0b10100, 0b01111, 0b00111}
+	got := testing.AllocsPerRun(200, func() {
+		if _, err := Fan(k, src, targets); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got > FanAllocBudget {
+		t.Errorf("Fan in Q_%d allocates %.1f allocs/op, budget %d", k, got, FanAllocBudget)
+	}
+	t.Logf("Fan in Q_%d: %.1f allocs/op (budget %d)", k, got, FanAllocBudget)
+}
