@@ -64,14 +64,14 @@ func allocSetup(t testing.TB) (*Client, hhc.Node, hhc.Node) {
 // ServeV2AllocBudget is the explicit steady-state allocation budget for
 // one warm-cache OpPaths round trip over protocol v2, counted across
 // every goroutine on both sides of the loopback (client encode/decode,
-// server read/dispatch/construct/deliver/send). Measured: 6 allocs/op
-// (8 under -race); the dominant terms are inherent — the per-request
-// task, the coalescing flight entry, and the cache's defensive container
-// copy (the path list plus one backing array for all paths). The JSON path spends several
-// hundred allocations on the same round trip. The margin above the
-// measurement absorbs pool refills after an unluckily timed GC, not new
-// hot-path costs.
-const ServeV2AllocBudget = 16
+// server read/dispatch/construct/deliver/send). Measured: 5 allocs/op
+// (7 under -race); the dominant terms are inherent — the per-request
+// task and the cache's defensive container copy (the path list plus one
+// backing array for all paths). The JSON path spends several hundred
+// allocations on the same round trip. The margin above the measurement
+// absorbs pool refills after an unluckily timed GC and the race
+// detector's extra allocations, not new hot-path costs.
+const ServeV2AllocBudget = 9
 
 // TestServeV2AllocBudget extends the TestUninstrumentedAllocIdentity
 // discipline to the serve path: the budget is pinned by test so an

@@ -389,58 +389,6 @@ func TestWireCompatMatrix(t *testing.T) {
 	_ = srv
 }
 
-// TestMixedProtocolCoalesce: a v1 leader and a v2 waiter on the same
-// endpoints share one construction, and each receives its answer in its
-// own encoding.
-func TestMixedProtocolCoalesce(t *testing.T) {
-	srv, addr := startServer(t, Config{M: 3, Workers: 1, QueueDepth: 8})
-	release := make(chan struct{})
-	srv.stallForTest = func() { <-release }
-
-	u, v := hhc.Node{X: 0x5, Y: 1}, hhc.Node{X: 0xa, Y: 6}
-	g, _ := hhc.New(3)
-	us, vs := g.FormatNode(u), g.FormatNode(v)
-
-	errs := make(chan error, 2)
-	var v1resp *Response
-	var v2resp ResponseV2
-	go func() {
-		c, err := Dial(addr)
-		if err != nil {
-			errs <- err
-			return
-		}
-		defer c.Close()
-		v1resp, err = c.Paths(us, vs, 0, time.Minute)
-		errs <- err
-	}()
-	go func() {
-		c, err := DialWith(addr, DialOptions{Proto: ProtocolV2})
-		if err != nil {
-			errs <- err
-			return
-		}
-		defer c.Close()
-		errs <- c.PathsV2(u, v, 0, time.Minute, &v2resp)
-	}()
-	waitFor(t, "one construction, one coalesced waiter", func() bool {
-		cs := srv.Counters()
-		return cs.Admitted == 1 && cs.Coalesced == 1
-	})
-	close(release)
-	for i := 0; i < 2; i++ {
-		if err := <-errs; err != nil {
-			t.Fatalf("mixed coalesce request: %v", err)
-		}
-	}
-	if len(v1resp.Paths) != 4 || len(v2resp.Paths) != 4 {
-		t.Fatalf("v1 got %d paths, v2 got %d, want 4 and 4", len(v1resp.Paths), len(v2resp.Paths))
-	}
-	if cs := srv.CacheSnapshot(); cs.Misses != 1 {
-		t.Fatalf("cache misses = %d, want 1 shared construction", cs.Misses)
-	}
-}
-
 // TestPipelinedHammer drives one shared connection from many goroutines
 // with both encodings in flight at once (run under -race in CI).
 func TestPipelinedHammer(t *testing.T) {

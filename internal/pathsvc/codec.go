@@ -12,7 +12,7 @@ import (
 // RequestV2 and every answer a ResponseV2, with hhc.Node addresses; wire
 // v1 is a codec that translates at this boundary only. A v1 request is
 // decoded and translated here, its JSON form travels with the request as
-// pendingReq.v1, and the answer is rendered back into v1 JSON at send
+// task.v1, and the answer is rendered back into v1 JSON at send
 // time. Whichever wire a query arrives on, it runs the same dispatch,
 // admission, execution and delivery code.
 
@@ -123,7 +123,7 @@ func appendResponse(buf []byte, v1 *Request, resp *ResponseV2) []byte {
 // batch addresses echoed, ver_max advertised on info) and appends its JSON.
 func appendResponseV1(buf []byte, v1 *Request, resp *ResponseV2) []byte {
 	r := Response{Ver: ProtocolVersion, ID: resp.ID, Op: v1.Op, RID: resp.RID,
-		QueueNS: resp.QueueNS, ExecNS: resp.ExecNS, Coalesced: resp.Coalesced,
+		QueueNS: resp.QueueNS, ExecNS: resp.ExecNS,
 		Code: codeOfStatus(resp.Code), Err: resp.Err,
 		RetryAfterMS: resp.RetryAfterNS / int64(time.Millisecond),
 		Paths:        formatPaths(resp.Paths),
@@ -145,12 +145,12 @@ func appendResponseV1(buf []byte, v1 *Request, resp *ResponseV2) []byte {
 // batchItemSize is batch item i's encoded size in the recipient's own
 // encoding: doBatch budgets the reply frame with it, so a batch is refused
 // at the pair where that recipient's frame would overflow.
-func (p *pendingReq) batchItemSize(i int, item *BatchItemV2) int {
-	if p.v1 == nil {
+func (t *task) batchItemSize(i int, item *BatchItemV2) int {
+	if t.v1 == nil {
 		return batchItemSizeV2(item)
 	}
 	// A BatchItem holds only strings: it always marshals.
-	enc, _ := json.Marshal(batchItemV1(p.v1, i, item))
+	enc, _ := json.Marshal(batchItemV1(t.v1, i, item))
 	return len(enc) + 1 // +1 for the separating comma
 }
 

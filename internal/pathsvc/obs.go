@@ -42,8 +42,6 @@ func newSvcMetrics(reg *obs.Registry, s *Server) *svcMetrics {
 		"Requests that entered the work queue.", s.counters.Admitted.Load)
 	reg.CounterFunc("pathsvc_shed_total",
 		"Requests rejected at admission because the queue was full.", s.counters.Shed.Load)
-	reg.CounterFunc("pathsvc_coalesced_total",
-		"Requests answered by piggybacking on an identical in-flight query.", s.counters.Coalesced.Load)
 	reg.CounterFunc("pathsvc_degraded_total",
 		"Responses truncated below full container width by queue pressure.", s.counters.Degraded.Load)
 	reg.CounterFunc("pathsvc_deadline_exceeded_total",
@@ -147,9 +145,8 @@ func (m *svcMetrics) observeQueueWait(d time.Duration) {
 	}
 }
 
-// observeExec records one construction/execution latency sample (shared by
-// every coalesced recipient, so recorded once per leader), retained as a
-// bucket exemplar when the request carried a rid. Nil-safe.
+// observeExec records one construction/execution latency sample, retained
+// as a bucket exemplar when the request carried a rid. Nil-safe.
 func (m *svcMetrics) observeExec(d time.Duration, rid string) {
 	if m != nil {
 		m.execWindow.ObserveDurationEx(d, rid)
@@ -179,9 +176,8 @@ func (s *Server) ExecExemplars() []obs.Exemplar {
 // reqTrace carries one request's span-tree handles across the serving
 // pipeline: admission on the connection's reader goroutine, queue wait and
 // execution on a worker, encode wherever the response is rendered. The
-// channel send that moves a task to a worker (and the inflightMu critical
-// section that attaches a waiter to its leader) provide the happens-before
-// edges obs.Req requires. A nil *reqTrace is the disabled path; every
+// channel send that moves a task to a worker provides the happens-before
+// edge obs.Req requires. A nil *reqTrace is the disabled path; every
 // method is nil-receiver safe, so the serving code never branches on
 // whether request tracing is on.
 type reqTrace struct {
@@ -216,15 +212,9 @@ func (t *reqTrace) id() string {
 	return t.q.ID()
 }
 
-// setAttr annotates the request (endpoints, widths, batch sizes).
-func (t *reqTrace) setAttr(key, value string) {
-	if t != nil {
-		t.q.SetAttr(key, value)
-	}
-}
-
-// setAttrInt and setAttrNode format their value only when a tracer is
-// recording: the untraced serve path must not pay for the rendering.
+// setAttrInt and setAttrNode annotate the request (endpoints, widths,
+// batch sizes). They format their value only when a tracer is recording:
+// the untraced serve path must not pay for the rendering.
 func (t *reqTrace) setAttrInt(key string, v int) {
 	if t != nil {
 		t.q.SetAttr(key, strconv.Itoa(v))

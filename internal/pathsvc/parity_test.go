@@ -176,7 +176,7 @@ func TestProtocolParity(t *testing.T) {
 			settle: func(t *testing.T, srv *Server) {
 				waitFor(t, "both probes waiting", func() bool {
 					cs := srv.Counters()
-					return cs.Admitted+cs.Coalesced == 3
+					return cs.Admitted == 3
 				})
 				time.Sleep(30 * time.Millisecond) // past the probes' 10ms deadline
 			},
@@ -191,7 +191,7 @@ func TestProtocolParity(t *testing.T) {
 			settle: func(t *testing.T, srv *Server) {
 				waitFor(t, "both probes admitted", func() bool {
 					cs := srv.Counters()
-					return cs.Admitted+cs.Coalesced == 5
+					return cs.Admitted == 5
 				})
 			}},
 		{name: "overload", cfg: Config{M: 3, Workers: 1, QueueDepth: 1, RetryAfter: 75 * time.Millisecond},
@@ -206,7 +206,7 @@ func TestProtocolParity(t *testing.T) {
 			settle: func(t *testing.T, srv *Server) {
 				waitFor(t, "both probes refused", func() bool {
 					cs := srv.Counters()
-					return cs.Shed+cs.Coalesced == 2
+					return cs.Shed == 2
 				})
 			},
 			want: CodeOverload, msg: ErrOverload.Error()},

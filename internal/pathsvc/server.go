@@ -162,7 +162,6 @@ type Counters struct {
 	Requests  stats.Counter // decoded requests of any op
 	Admitted  stats.Counter // requests that entered the work queue
 	Shed      stats.Counter // requests rejected at admission (queue full)
-	Coalesced stats.Counter // requests piggybacked on an identical in-flight query
 	Degraded  stats.Counter // responses truncated below full width by queue pressure
 	Deadline  stats.Counter // requests that missed their deadline
 	Failed    stats.Counter // bad_request / unroutable / internal responses
@@ -177,15 +176,20 @@ type Counters struct {
 
 // Snapshot is a point-in-time reading of Counters.
 type Snapshot struct {
-	Conns, Requests, Admitted, Shed, Coalesced                     int64
+	Conns, Requests, Admitted, Shed                                int64
 	Degraded, Deadline, Failed, Completed                          int64
 	Forwarded, ForwardErrors, ForwardedIn, DegradedLoc, BatchLocal int64
+	// Coalesced counted queries answered off an identical in-flight query.
+	//
+	// Deprecated: always zero from this server. Duplicate constructions
+	// are suppressed by the container cache's singleflight instead.
+	Coalesced int64
 }
 
 // String renders the snapshot on one line for CLI summaries.
 func (s Snapshot) String() string {
-	line := fmt.Sprintf("conns=%d requests=%d admitted=%d shed=%d coalesced=%d degraded=%d deadline=%d failed=%d completed=%d",
-		s.Conns, s.Requests, s.Admitted, s.Shed, s.Coalesced, s.Degraded, s.Deadline, s.Failed, s.Completed)
+	line := fmt.Sprintf("conns=%d requests=%d admitted=%d shed=%d degraded=%d deadline=%d failed=%d completed=%d",
+		s.Conns, s.Requests, s.Admitted, s.Shed, s.Degraded, s.Deadline, s.Failed, s.Completed)
 	if s.Forwarded > 0 || s.ForwardErrors > 0 || s.ForwardedIn > 0 || s.DegradedLoc > 0 || s.BatchLocal > 0 {
 		line += fmt.Sprintf(" forwarded=%d fwd_errors=%d fwd_in=%d degraded_local=%d batch_local=%d",
 			s.Forwarded, s.ForwardErrors, s.ForwardedIn, s.DegradedLoc, s.BatchLocal)
@@ -193,20 +197,11 @@ func (s Snapshot) String() string {
 	return line
 }
 
-// coalesceKey identifies queries that may share one construction: same
-// endpoints on the server's one topology. Width preferences (MaxPaths,
-// shedding) stay per-requester — the leader computes the full container and
-// every recipient truncates its own copy.
-type coalesceKey struct {
-	u, v hhc.Node
-}
-
-// pendingReq is everything needed to answer one requester: leader and
-// coalesced waiters carry the same shape. v1 is the decoded JSON request
+// task is one request on its way to an answer: what to compute and
+// everything needed to answer its requester. v1 is the decoded JSON request
 // of a requester that spoke wire v1 (nil for v2): send renders the answer
-// through the v1 codec from it, so coalesced v1 and v2 requesters of the
-// same construction each get an answer in their own encoding.
-type pendingReq struct {
+// through the v1 codec from it.
+type task struct {
 	pc       *serverConn
 	v1       *Request
 	id       uint64
@@ -214,22 +209,15 @@ type pendingReq struct {
 	op       uint8  // v2 op code
 	maxPaths int
 	degraded bool
-	// coalesced marks a waiter answered by piggybacking on the leader's
-	// construction; its queueNS stays 0 (it never entered the queue).
-	coalesced bool
-	queueNS   int64 // time spent waiting for a worker, set at pickup
-	tr        *reqTrace
+	queueNS  int64 // time spent waiting for a worker, set at pickup
+	tr       *reqTrace
 	// deadline is the absolute per-request deadline (arrival + the request
 	// or default timeout). A plain time.Time instead of a context: the serve
 	// path only ever polls expiry, and skipping context.WithTimeout saves a
 	// context, a timer, and a cancel func per request.
 	deadline time.Time
 	start    time.Time
-}
 
-// task is one unit of queued work.
-type task struct {
-	pendingReq
 	u, v  hhc.Node
 	pairs []NodePair
 	// pairErrs holds the per-pair address errors of a v1 batch, indexed
@@ -238,26 +226,20 @@ type task struct {
 	pairErrs []error
 	faults   map[hhc.Node]bool
 	enqueued time.Time
-	lead     bool // owns an entry in Server.inflight
 	// forwarded mirrors the wire's hop-guard bit: the query already crossed
 	// a peer hop, so this server must answer it locally whatever the ring says.
 	forwarded bool
-	key       coalesceKey
 }
 
-// flight collects the waiters coalesced onto one in-flight query.
-type flight struct {
-	waiters []pendingReq
-}
-
-// outcome is a worker's answer, shared by the leader and all waiters.
+// outcome is the answer to one task, before deliver applies the
+// requester's width and deadline policy.
 type outcome struct {
 	code    uint8 // v2 status byte
 	errMsg  string
 	paths   [][]hhc.Node
 	results []BatchItemV2
 	retryNS int64
-	execNS  int64 // construction time, shared by every coalesced recipient
+	execNS  int64 // construction time
 }
 
 // serverConn serializes concurrent response writes onto one connection.
@@ -336,9 +318,6 @@ type Server struct {
 
 	workerWG      sync.WaitGroup
 	activeWorkers atomic.Int64
-
-	inflightMu sync.Mutex
-	inflight   map[coalesceKey]*flight // guarded by inflightMu
 
 	// fwdSem bounds in-flight peer forwards (nil without a Router); a full
 	// semaphore downgrades to an immediate local answer, so forwards can
@@ -421,7 +400,6 @@ func New(cfg Config) (*Server, error) {
 		quit:     make(chan struct{}),
 		done:     make(chan struct{}),
 		conns:    make(map[net.Conn]struct{}),
-		inflight: make(map[coalesceKey]*flight),
 	}
 	if cfg.Router != nil {
 		s.fwdSem = make(chan struct{}, cfg.ForwardConcurrency)
@@ -443,7 +421,6 @@ func (s *Server) Counters() Snapshot {
 		Requests:      s.counters.Requests.Load(),
 		Admitted:      s.counters.Admitted.Load(),
 		Shed:          s.counters.Shed.Load(),
-		Coalesced:     s.counters.Coalesced.Load(),
 		Degraded:      s.counters.Degraded.Load(),
 		Deadline:      s.counters.Deadline.Load(),
 		Failed:        s.counters.Failed.Load(),
@@ -663,12 +640,9 @@ func (s *Server) dispatch(pc *serverConn, in *inbound) {
 	}
 
 	t := &task{
-		pendingReq: pendingReq{
-			pc: pc, v1: in.v1, id: req.ID, rid: rid, op: req.Op,
-			maxPaths: req.MaxPaths, tr: tr, start: start,
-		},
-		pairErrs:  in.pairErrs,
-		forwarded: req.Forwarded,
+		pc: pc, v1: in.v1, id: req.ID, rid: rid, op: req.Op,
+		maxPaths: req.MaxPaths, tr: tr, start: start,
+		pairErrs: in.pairErrs, forwarded: req.Forwarded,
 	}
 	switch req.Op {
 	case OpCodePaths, OpCodeRoute:
@@ -750,32 +724,16 @@ func (s *Server) admit(t *task) {
 }
 
 // admitLocal runs the protocol-independent tail of dispatch: the degrade
-// decision, in-flight coalescing of identical path queries, and admission
-// control. It runs on the connection's reader goroutine (or a forward
-// goroutine falling back after a peer failure), so AdmitBlock backpressure
-// parks exactly the connection that is overloading the queue.
+// decision and admission control. Every local query enters the work queue
+// or is refused here; identical concurrent queries are not merged, because
+// the container cache's singleflight already runs one construction per
+// canonical key. It runs on the connection's reader goroutine (or a
+// forward goroutine falling back after a peer failure), so AdmitBlock
+// backpressure parks exactly the connection that is overloading the queue.
 func (s *Server) admitLocal(t *task) {
 	// The degrade decision is taken at admission time: a queue filling past
 	// the shed threshold marks new path queries for width truncation.
 	t.degraded = len(s.queue) >= s.shedHigh
-
-	if t.op == OpCodePaths {
-		key := coalesceKey{u: t.u, v: t.v}
-		s.inflightMu.Lock()
-		if fl, ok := s.inflight[key]; ok {
-			t.coalesced = true
-			t.tr.setAttr("coalesced", "true")
-			t.tr.endAdmission()
-			t.pc.pending.Add(1)
-			fl.waiters = append(fl.waiters, t.pendingReq)
-			s.inflightMu.Unlock()
-			s.counters.Coalesced.Inc()
-			return
-		}
-		s.inflight[key] = &flight{}
-		s.inflightMu.Unlock()
-		t.lead, t.key = true, key
-	}
 
 	t.enqueued = time.Now()
 	t.tr.endAdmission()
@@ -793,13 +751,13 @@ func (s *Server) admitLocal(t *task) {
 			s.counters.Admitted.Inc()
 			return
 		case <-s.quit:
-			s.deliverAll(t, outcome{code: StatusShutdown, errMsg: ErrShutdown.Error()})
+			s.deliver(t, outcome{code: StatusShutdown, errMsg: ErrShutdown.Error()})
 			return
 		}
 	}
 	// AdmitReject: shed now, with a back-off hint.
 	s.counters.Shed.Inc()
-	s.deliverAll(t, outcome{
+	s.deliver(t, outcome{
 		code:    StatusOverload,
 		errMsg:  ErrOverload.Error(),
 		retryNS: int64(s.cfg.RetryAfter.Truncate(time.Millisecond)),
@@ -861,7 +819,7 @@ func (s *Server) runForward(t *task) {
 	remaining := time.Until(t.deadline)
 	if remaining <= 0 {
 		t.tr.endForward()
-		s.deliverAll(t, outcome{code: StatusDeadline, errMsg: ErrDeadlineExceeded.Error()})
+		s.deliver(t, outcome{code: StatusDeadline, errMsg: ErrDeadlineExceeded.Error()})
 		return
 	}
 	req.TimeoutNS = int64(remaining)
@@ -875,7 +833,7 @@ func (s *Server) runForward(t *task) {
 		t.tr.endForwardWith(peer, resp.QueueNS, resp.ExecNS)
 		t.queueNS = resp.QueueNS
 		s.counters.Forwarded.Inc()
-		s.deliverAll(t, outcome{paths: resp.Paths, execNS: resp.ExecNS})
+		s.deliver(t, outcome{paths: resp.Paths, execNS: resp.ExecNS})
 		return
 	}
 	var se *ServerError
@@ -884,7 +842,7 @@ func (s *Server) runForward(t *task) {
 		// internal): that verdict is the answer — the hop itself worked.
 		t.tr.endForwardWith(peer, resp.QueueNS, resp.ExecNS)
 		s.counters.Forwarded.Inc()
-		s.deliverAll(t, outcome{code: statusOf(se.Code), errMsg: se.Msg})
+		s.deliver(t, outcome{code: statusOf(se.Code), errMsg: se.Msg})
 		return
 	}
 	// The peer is unreachable, the stream broke, or the owner is too loaded
@@ -954,7 +912,7 @@ func (s *Server) process(t *task) {
 		s.met.observeExec(time.Duration(out.execNS), t.rid)
 		t.tr.endExec()
 	}
-	s.deliverAll(t, out)
+	s.deliver(t, out)
 }
 
 // doPaths constructs (or fetches) the full-width container; truncation is
@@ -1055,61 +1013,42 @@ func (s *Server) noteBatchLocal(t *task, nonOwned bool) {
 	}
 }
 
-// deliverAll answers the leader and, for coalesced queries, every waiter
-// that piggybacked on it. The in-flight entry is removed first so late
-// duplicates start a fresh construction instead of attaching to a
-// completed one.
-func (s *Server) deliverAll(t *task, out outcome) {
-	if t.lead {
-		s.inflightMu.Lock()
-		fl := s.inflight[t.key]
-		delete(s.inflight, t.key)
-		s.inflightMu.Unlock()
-		s.deliver(t.pendingReq, out)
-		for _, w := range fl.waiters {
-			s.deliver(w, out)
-		}
-		return
-	}
-	s.deliver(t.pendingReq, out)
-}
-
-// deliver answers one recipient: its own deadline check, its own width
-// truncation, its own counters and latency sample, in its own encoding.
-// The OK path shares out.paths read-only (resp.Paths = out.paths[:k]):
-// send encodes it exactly once on this goroutine, so there is no
-// defensive copy, and a v2 answer needs no per-node formatting at all.
+// deliver answers a task's requester: the deadline check, the width
+// truncation, the counters and latency sample, in the requester's own
+// encoding. The OK path slices out.paths in place (resp.Paths =
+// out.paths[:k]) and send encodes it once on this goroutine, so a v2
+// answer needs no copy and no per-node formatting.
 // The tree reaches the flight recorder after the write (the encode span
 // covers it), so a client holding its answer may not see the tree yet.
 //
 //hhc:hotpath
-func (s *Server) deliver(p pendingReq, out outcome) {
-	defer p.pc.pending.Done()
-	resp := ResponseV2{ID: p.id, RID: p.rid, Op: p.op,
-		QueueNS: p.queueNS, ExecNS: out.execNS, Coalesced: p.coalesced}
+func (s *Server) deliver(t *task, out outcome) {
+	defer t.pc.pending.Done()
+	resp := ResponseV2{ID: t.id, RID: t.rid, Op: t.op,
+		QueueNS: t.queueNS, ExecNS: out.execNS}
 	code := out.code
-	if code == StatusOK && !p.deadline.IsZero() && time.Now().After(p.deadline) {
-		// The shared construction finished, but after this requester's own
+	if code == StatusOK && !t.deadline.IsZero() && time.Now().After(t.deadline) {
+		// The construction finished, but after this requester's own
 		// deadline: a stale answer is still a missed deadline.
 		code, out = StatusDeadline, outcome{errMsg: ErrDeadlineExceeded.Error()}
 	}
 	switch code {
 	case StatusOK:
-		switch p.op {
+		switch t.op {
 		case OpCodePaths:
 			full := len(out.paths)
 			k := full
-			if p.maxPaths > 0 && p.maxPaths < k {
-				k = p.maxPaths
+			if t.maxPaths > 0 && t.maxPaths < k {
+				k = t.maxPaths
 			}
-			if p.degraded && s.cfg.DegradeWidth < k {
+			if t.degraded && s.cfg.DegradeWidth < k {
 				k = s.cfg.DegradeWidth
 				resp.Degraded = true
 				s.counters.Degraded.Inc()
 			}
 			resp.Paths = out.paths[:k]
 			resp.Width, resp.Full = k, full
-			p.tr.setAttrInt("width", k)
+			t.tr.setAttrInt("width", k)
 		case OpCodeRoute:
 			resp.Paths = out.paths
 			resp.Width, resp.Full = len(out.paths), s.g.M()+1
@@ -1129,12 +1068,12 @@ func (s *Server) deliver(p pendingReq, out outcome) {
 		resp.Code, resp.Err = code, out.errMsg
 	}
 	if code != StatusOK {
-		op, _ := opNameOf(p.op)
-		s.logResponse(p.pc.remote, op, p.rid, code, resp.Err)
+		op, _ := opNameOf(t.op)
+		s.logResponse(t.pc.remote, op, t.rid, code, resp.Err)
 	}
-	p.tr.startEncode()
-	p.pc.send(p.v1, &resp)
-	p.tr.endEncode()
-	p.tr.finish(code)
-	s.met.observeRequest(time.Since(p.start), p.rid)
+	t.tr.startEncode()
+	t.pc.send(t.v1, &resp)
+	t.tr.endEncode()
+	t.tr.finish(code)
+	s.met.observeRequest(time.Since(t.start), t.rid)
 }

@@ -1,11 +1,13 @@
 package pathsvc
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"fmt"
 	"net"
 	"os"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -178,7 +180,7 @@ func TestGracefulShutdownDrains(t *testing.T) {
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(ln) }()
 
-	// Distinct pairs (no coalescing), one client each, fired concurrently.
+	// Distinct pairs, one client each, fired concurrently.
 	g, _ := hhc.New(3)
 	results := make(chan error, inflight)
 	for i := 0; i < inflight; i++ {
@@ -265,48 +267,127 @@ func TestDeadlineExceededTyped(t *testing.T) {
 	<-occDone
 }
 
-// TestCoalesceInflight: identical (u, v) queries issued while the first is
-// still executing share one construction and all receive full answers.
-func TestCoalesceInflight(t *testing.T) {
-	srv, addr := startServer(t, Config{M: 3, Workers: 1, QueueDepth: 8})
+// sendDuplicates sends nV1 identical v1 and nV2 identical v2 paths queries
+// at once to a server with the given number of workers. Every worker holds
+// the query it picks up until all of them are admitted, then all run. It
+// checks what every duplicate must get whatever the mix: the full container
+// in the requester's own encoding, its own queue wait, and one construction
+// between them all in the cache.
+func sendDuplicates(t *testing.T, workers, nV1, nV2 int) (*Server, []*Response, []ResponseV2) {
+	t.Helper()
+	srv, addr := startServer(t, Config{M: 3, Workers: workers, QueueDepth: 8})
 	release := make(chan struct{})
 	srv.stallForTest = func() { <-release }
+	var once sync.Once
+	unblock := func() { once.Do(func() { close(release) }) }
+	defer unblock()
 
-	const dup = 3
-	u, v := "0x5:1", "0xa:6"
-	results := make(chan *Response, 1+dup)
-	errs := make(chan error, 1+dup)
-	for i := 0; i < 1+dup; i++ {
+	u, v := hhc.Node{X: 0x5, Y: 1}, hhc.Node{X: 0xa, Y: 6}
+	g, _ := hhc.New(3)
+	us, vs := g.FormatNode(u), g.FormatNode(v)
+	v1resps := make([]*Response, nV1)
+	v2resps := make([]ResponseV2, nV2)
+	errs := make(chan error, nV1+nV2)
+	for i := 0; i < nV1; i++ {
+		c1 := dial(t, addr)
 		go func() {
-			c, err := Dial(addr)
-			if err != nil {
-				errs <- err
-				return
-			}
-			defer c.Close()
-			resp, err := c.Paths(u, v, 0, time.Minute)
+			var err error
+			v1resps[i], err = c1.Paths(us, vs, 0, time.Minute)
 			errs <- err
-			results <- resp
 		}()
 	}
-	waitFor(t, "duplicates coalesced", func() bool {
-		return srv.Counters().Coalesced == dup
-	})
-	if admitted := srv.Counters().Admitted; admitted != 1 {
-		t.Fatalf("admitted %d constructions for %d identical queries, want 1", admitted, 1+dup)
-	}
-	close(release)
-	for i := 0; i < 1+dup; i++ {
-		if err := <-errs; err != nil {
-			t.Fatalf("coalesced request %d: %v", i, err)
+	for i := 0; i < nV2; i++ {
+		c2, err := DialWith(addr, DialOptions{Proto: ProtocolV2})
+		if err != nil {
+			t.Fatal(err)
 		}
-		if resp := <-results; len(resp.Paths) != 4 {
-			t.Fatalf("coalesced request %d got %d paths, want 4", i, len(resp.Paths))
+		t.Cleanup(func() { c2.Close() })
+		go func() { errs <- c2.PathsV2(u, v, 0, time.Minute, &v2resps[i]) }()
+	}
+	total := nV1 + nV2
+	waitFor(t, "every duplicate admitted and every worker holding one", func() bool {
+		return srv.Counters().Admitted == int64(total) && srv.activeWorkers.Load() == int64(min(workers, total))
+	})
+	unblock()
+	for i := 0; i < total; i++ {
+		if err := <-errs; err != nil {
+			t.Fatalf("duplicate query: %v", err)
+		}
+	}
+	for i, r := range v1resps {
+		if len(r.Paths) != 4 || r.Width != 4 || r.Full != 4 || r.Degraded {
+			t.Errorf("v1 requester %d: %d paths, width %d of %d, degraded %v; want the full 4-wide container",
+				i, len(r.Paths), r.Width, r.Full, r.Degraded)
+		}
+		verifyContainer(t, g, us, vs, r.Paths)
+		if r.QueueNS <= 0 {
+			t.Errorf("v1 requester %d: queue_ns = %d, want its own queue wait", i, r.QueueNS)
+		}
+	}
+	for i, r := range v2resps {
+		if len(r.Paths) != 4 || r.Width != 4 || r.Full != 4 || r.Degraded {
+			t.Errorf("v2 requester %d: %d paths, width %d of %d, degraded %v; want the full 4-wide container",
+				i, len(r.Paths), r.Width, r.Full, r.Degraded)
+		}
+		if r.QueueNS <= 0 {
+			t.Errorf("v2 requester %d: queue_ns = %d, want its own queue wait", i, r.QueueNS)
 		}
 	}
 	// The cache saw exactly one construction for the whole fan-in.
 	if cs := srv.CacheSnapshot(); cs.Misses != 1 {
 		t.Fatalf("cache misses = %d, want 1", cs.Misses)
+	}
+	return srv, v1resps, v2resps
+}
+
+// TestDuplicateQueriesShareConstruction: identical queries in flight at
+// once, over v1 and over v2, each go through the queue on their own and
+// share one construction through the cache's singleflight. Every worker
+// holds one of them until all are picked up, then all run together.
+func TestDuplicateQueriesShareConstruction(t *testing.T) {
+	sendDuplicates(t, 4, 2, 2)
+}
+
+// TestCoalesceInflight: identical queries waiting behind one busy worker
+// are each admitted through the queue — none bypasses admission — and the
+// container is still built once.
+func TestCoalesceInflight(t *testing.T) {
+	srv, _, _ := sendDuplicates(t, 1, 4, 0)
+	if cs := srv.Counters(); cs.Admitted != 4 || cs.Shed != 0 {
+		t.Fatalf("admitted %d, shed %d of 4 identical queries; want all 4 admitted", cs.Admitted, cs.Shed)
+	}
+}
+
+// TestMixedProtocolCoalesce: a v1 and a v2 query for the same endpoints,
+// built at the same moment by two workers, share one construction, and
+// each receives the same container in its own encoding.
+func TestMixedProtocolCoalesce(t *testing.T) {
+	_, v1, v2 := sendDuplicates(t, 2, 1, 1)
+	g, _ := hhc.New(3)
+	for i, p := range v2[0].Paths {
+		got := make([]string, len(p))
+		for j, n := range p {
+			got[j] = g.FormatNode(n)
+		}
+		if !slices.Equal(got, v1[0].Paths[i]) {
+			t.Fatalf("path %d: v2 %v, v1 %v; want one container in both encodings", i, got, v1[0].Paths[i])
+		}
+	}
+}
+
+// TestCoalescedTiming: duplicates report their own timing — each its own
+// queue wait and its own execution time — and none is flagged coalesced.
+func TestCoalescedTiming(t *testing.T) {
+	_, v1, v2 := sendDuplicates(t, 1, 2, 2)
+	for i, r := range v1 {
+		if r.Coalesced || r.ExecNS <= 0 {
+			t.Errorf("v1 requester %d: coalesced %v, exec_ns %d; want its own execution", i, r.Coalesced, r.ExecNS)
+		}
+	}
+	for i, r := range v2 {
+		if r.Coalesced || r.ExecNS <= 0 {
+			t.Errorf("v2 requester %d: coalesced %v, exec_ns %d; want its own execution", i, r.Coalesced, r.ExecNS)
+		}
 	}
 }
 
@@ -319,8 +400,7 @@ func TestShedOverload(t *testing.T) {
 	srv.stallForTest = func() { <-release }
 	defer close(release)
 
-	// Occupy the worker, fill the queue, then overflow it. Distinct pairs
-	// keep coalescing out of the picture.
+	// Occupy the worker, fill the queue, then overflow it.
 	bg := []struct{ u, v string }{{"0x1:0", "0x2:3"}, {"0x3:1", "0x4:4"}}
 	for _, p := range bg {
 		c := dial(t, addr)
@@ -344,6 +424,93 @@ func TestShedOverload(t *testing.T) {
 	}
 	if srv.Counters().Shed == 0 {
 		t.Fatal("shed counter not incremented")
+	}
+}
+
+// TestShedDuplicateFlood: a flood of one key on one connection is bounded
+// by admission like any other traffic. With the single worker held on the
+// first query, 63 more identical queries pipelined behind it fill the
+// 4-slot queue and the other 59 are shed; after release every one of the
+// 64 is answered, the 5 admitted with paths and the 59 shed with overload
+// and a retry hint.
+func TestShedDuplicateFlood(t *testing.T) {
+	const total, depth = 64, 4
+	srv, addr := startServer(t, Config{M: 3, Workers: 1, QueueDepth: depth})
+	release := make(chan struct{})
+	srv.stallForTest = func() { <-release }
+	var once sync.Once
+	unblock := func() { once.Do(func() { close(release) }) }
+	defer unblock()
+
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	frame := func(id uint64) []byte {
+		req := RequestV2{Op: OpCodePaths, ID: id, U: hhc.Node{X: 0x5, Y: 1}, V: hhc.Node{X: 0xa, Y: 6},
+			TimeoutNS: int64(time.Minute)}
+		buf := AppendRequestV2(appendFramePrefix(nil), &req)
+		patchFramePrefix(buf)
+		return buf
+	}
+	if _, err := conn.Write(frame(0)); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "worker holding the first query", func() bool { return srv.activeWorkers.Load() == 1 })
+	var flood []byte
+	for id := uint64(1); id < total; id++ {
+		flood = append(flood, frame(id)...)
+	}
+	if _, err := conn.Write(flood); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for cs := srv.Counters(); cs.Admitted+cs.Shed < total; cs = srv.Counters() {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d identical queries were not all admitted or shed: %s", total, cs)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if cs := srv.Counters(); cs.Admitted != 1+depth || cs.Shed != total-1-depth {
+		t.Fatalf("admitted %d, shed %d; want %d and %d", cs.Admitted, cs.Shed, 1+depth, total-1-depth)
+	}
+
+	unblock()
+	_ = conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	br := bufio.NewReader(conn)
+	seen := make(map[uint64]bool, total)
+	var ok, overload int
+	for i := 0; i < total; i++ {
+		payload, err := ReadFrame(br, 0)
+		if err != nil {
+			t.Fatalf("answer %d of %d: %v", i+1, total, err)
+		}
+		var resp ResponseV2
+		if err := DecodeResponseV2(payload, &resp); err != nil {
+			t.Fatal(err)
+		}
+		if seen[resp.ID] {
+			t.Fatalf("id %d answered twice", resp.ID)
+		}
+		seen[resp.ID] = true
+		switch resp.Code {
+		case StatusOK:
+			ok++
+			if len(resp.Paths) == 0 {
+				t.Errorf("id %d: OK answer without paths", resp.ID)
+			}
+		case StatusOverload:
+			overload++
+			if resp.RetryAfterNS <= 0 {
+				t.Errorf("id %d: overload answer without a retry hint", resp.ID)
+			}
+		default:
+			t.Errorf("id %d: code %s (%s)", resp.ID, resp.CodeString(), resp.Err)
+		}
+	}
+	if ok != 1+depth || overload != total-1-depth {
+		t.Fatalf("%d OK and %d overload answers; want %d and %d", ok, overload, 1+depth, total-1-depth)
 	}
 }
 

@@ -3,8 +3,10 @@
 // batch, and fault-avoiding variants) backed by internal/core and
 // internal/cache, plus the server-side production engineering the paper's
 // poly(n) bound makes possible — bounded admission queues, per-request
-// deadlines, in-flight coalescing of identical queries, and load shedding
-// that degrades container width before it drops requests.
+// deadlines, and load shedding that degrades container width before it
+// drops requests. Repeated and concurrent identical queries cost one
+// construction: the container cache memoizes answers and runs one
+// construction per canonical key at a time.
 //
 // # Wire format
 //
@@ -126,13 +128,14 @@ type Response struct {
 	// server has tracing disabled and the client supplied nothing.
 	RID string `json:"rid,omitempty"`
 	// Server-side timing, filled for requests that went through the work
-	// queue: time spent waiting for a worker, construction time, and
-	// whether the answer piggybacked on an identical in-flight query
-	// (coalesced answers share ExecNS and report QueueNS = 0). Older
+	// queue: time spent waiting for a worker and construction time. Older
 	// clients ignore these fields; older servers omit them.
-	QueueNS   int64 `json:"queue_ns,omitempty"`
-	ExecNS    int64 `json:"exec_ns,omitempty"`
-	Coalesced bool  `json:"coalesced,omitempty"`
+	QueueNS int64 `json:"queue_ns,omitempty"`
+	ExecNS  int64 `json:"exec_ns,omitempty"`
+	// Coalesced reported an answer taken off an identical in-flight query.
+	//
+	// Deprecated: always zero from this server.
+	Coalesced bool `json:"coalesced,omitempty"`
 	// Code is CodeOK ("", omitted) on success, else one of the Code
 	// constants; Err carries the human-readable detail.
 	Code string `json:"code,omitempty"`

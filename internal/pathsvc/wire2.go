@@ -72,7 +72,7 @@ const (
 const (
 	flagRID       = 1 << 0 // request & response: rid tail present
 	flagDegraded  = 1 << 1 // response: container truncated by load shedding
-	flagCoalesced = 1 << 2 // response: answered off an in-flight duplicate
+	flagCoalesced = 1 << 2 // response: answered off an in-flight duplicate (deprecated: never set by this server)
 	flagErr       = 1 << 3 // response: error-detail tail present
 	flagForwarded = 1 << 4 // request: relayed peer-to-peer once already (hop guard)
 	flagOrigin    = 1 << 5 // request: origin-peer tail present (forwarded trace context)
@@ -225,12 +225,16 @@ type ResponseV2 struct {
 	QueueNS      int64
 	ExecNS       int64
 	RetryAfterNS int64
-	Coalesced    bool
-	Degraded     bool
-	Width, Full  int
-	M            int
-	Paths        [][]hhc.Node
-	Results      []BatchItemV2
+	// Coalesced reports an answer taken off an identical in-flight query.
+	//
+	// Deprecated: always zero from this server; the bit is still decoded
+	// because older peers may set it.
+	Coalesced   bool
+	Degraded    bool
+	Width, Full int
+	M           int
+	Paths       [][]hhc.Node
+	Results     []BatchItemV2
 }
 
 // CodeString renders the v1 spelling of the status byte (for error
